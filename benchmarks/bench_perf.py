@@ -26,6 +26,7 @@ floor in :func:`repro.perf.timing.compare_to_baseline`).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
@@ -33,6 +34,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The seed router lives in tests/ as the bit-identity oracle; it is also
+# the in-run speed baseline of the ``route`` section.
+sys.path.insert(0, str(REPO_ROOT))
 
 import numpy as np
 
@@ -50,8 +54,8 @@ from repro.perf.timing import (
 )
 from repro.router import IterativeRouter, RoutingGrid
 from repro.router.guidance import RoutingGuidance, random_guidance
-from repro.router.iterative import RouterConfig
 from repro.serve import FLOAT32_PARITY_RTOL
+from tests.router_oracle import ReferenceRouter
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
 
@@ -61,14 +65,11 @@ ROUTE_CIRCUITS = ("OTA1", "OTA2", "OTA3")
 #: Timed repetitions per router scenario (best-of, interleaved).
 ROUTE_REPEATS = 3
 
-#: Gates for the ``route`` section under ``--check``.  The neutral
-#: scenarios exercise the bucketed (dial) queue — the tentpole engine —
-#: and must clear 3x over the in-run reference router; continuous
-#: random-guidance scenarios fall back to the scalar heap engine, whose
-#: floor is lower.  Both are in-run comparisons, so the gate does not
-#: depend on runner speed.
-ROUTE_MIN_SPEEDUP_NEUTRAL = 3.0
-ROUTE_MIN_SPEEDUP_GUIDED = 1.5
+#: Gate for the ``route`` section under ``--check``: the A* router must
+#: beat the in-run seed router (``tests/router_oracle.py``) by this
+#: factor on both the neutral and the guided aggregate.  It is an in-run
+#: comparison, so the gate does not depend on runner speed.
+ROUTE_MIN_SPEEDUP = 1.5
 
 #: Batch sizes of the forward-scaling sweep (``forward`` section).
 FORWARD_BATCHES = (1, 2, 4, 8, 16)
@@ -83,9 +84,11 @@ FORWARD_REPEATS = 5
 FORWARD_MAX_AMORTIZED_RATIO = 0.9
 
 
-def _route_once(placement, tech, guidance_seed, engine: str,
-                workers: int = 0):
-    """One timed ``route_all`` on a fresh grid; returns (dt, paths, exp)."""
+def _route_once(placement, tech, guidance_seed, oracle: bool):
+    """One timed ``route_all`` on a fresh grid; returns (dt, paths, exp).
+
+    With ``oracle`` the router searches with the seed engine instead.
+    """
     grid = RoutingGrid(placement, tech)
     if guidance_seed is None:
         guidance = RoutingGuidance()
@@ -93,8 +96,9 @@ def _route_once(placement, tech, guidance_seed, engine: str,
         rng = np.random.default_rng(guidance_seed)
         keys = [ap.key for aps in grid.access_points.values() for ap in aps]
         guidance = random_guidance(keys, rng)
-    router = IterativeRouter(
-        grid, guidance, RouterConfig(engine=engine, workers=workers))
+    router = IterativeRouter(grid, guidance)
+    if oracle:
+        router.astar = ReferenceRouter(grid, router.config.cost)
     start = time.perf_counter()
     result = router.route_all()
     elapsed = time.perf_counter() - start
@@ -103,14 +107,13 @@ def _route_once(placement, tech, guidance_seed, engine: str,
     return elapsed, paths, router.astar.expansions_total
 
 
-def measure_route(workers: int = 2) -> dict:
-    """Router benchmark: in-run reference vs. new engines on every OTA.
+def measure_route() -> dict:
+    """Router benchmark: in-run seed router vs. A* router on every OTA.
 
     Each scenario routes the same placement with the seed (reference)
-    router and the new auto engine (bucketed dial queue on neutral
-    guidance, scalar heap fallback on continuous guidance), then once
-    more with speculative net-parallel workers.  Identity of routed
-    paths across all three is part of the record (and the CI gate).
+    router and with the A* router, on neutral and on random guidance.
+    Identity of routed paths and expansion counts is part of the record
+    (and the CI gate).
     """
     tech = generic_40nm()
     scenarios: dict[str, dict] = {}
@@ -121,29 +124,25 @@ def measure_route(workers: int = 2) -> dict:
         placement = place_benchmark(circuit, variant="A", seed=0,
                                     iterations=200)
         for label, seed in (("neutral", None), ("guided", 7)):
-            # Interleave reference/auto trials so slow drift on the
-            # runner (thermal, background load) biases neither side.
+            # Interleave reference/A* trials so slow drift on the runner
+            # (thermal, background load) biases neither side.
             ref_t, ref_paths, ref_exp = _route_once(
-                placement, tech, seed, "reference")
+                placement, tech, seed, oracle=True)
             new_t, new_paths, new_exp = _route_once(
-                placement, tech, seed, "auto")
+                placement, tech, seed, oracle=False)
             for _ in range(ROUTE_REPEATS - 1):
                 ref_t = min(ref_t, _route_once(
-                    placement, tech, seed, "reference")[0])
+                    placement, tech, seed, oracle=True)[0])
                 new_t = min(new_t, _route_once(
-                    placement, tech, seed, "auto")[0])
-            par_t, par_paths, _ = _route_once(
-                placement, tech, seed, "auto", workers=workers)
+                    placement, tech, seed, oracle=False)[0])
             nets = max(len(ref_paths), 1)
-            same = (new_paths == ref_paths and par_paths == ref_paths
-                    and new_exp == ref_exp)
+            same = new_paths == ref_paths and new_exp == ref_exp
             identical = identical and same
             totals[label][0] += ref_t
             totals[label][1] += new_t
             scenarios[f"{circuit_name}.{label}"] = {
                 "reference_seconds": round(ref_t, 4),
-                "auto_seconds": round(new_t, 4),
-                "workers_seconds": round(par_t, 4),
+                "seconds": round(new_t, 4),
                 "speedup": round(ref_t / new_t, 2),
                 "expansions": new_exp,
                 "expansions_per_sec": round(new_exp / new_t),
@@ -157,7 +156,6 @@ def measure_route(workers: int = 2) -> dict:
             "guided": round(totals["guided"][0] / totals["guided"][1], 2),
         },
         "paths_identical": identical,
-        "workers_checked": workers,
         "repeats": ROUTE_REPEATS,
     }
 
@@ -168,14 +166,11 @@ def check_route(route: dict, baseline: dict | None) -> list[str]:
     speedup = route.get("speedup", {})
     neutral = float(speedup.get("neutral", 0.0))
     guided = float(speedup.get("guided", 0.0))
-    if neutral < ROUTE_MIN_SPEEDUP_NEUTRAL:
-        problems.append(
-            f"route speedup (neutral/bucketed) {neutral:.2f}x below the "
-            f"{ROUTE_MIN_SPEEDUP_NEUTRAL:.1f}x gate")
-    if guided < ROUTE_MIN_SPEEDUP_GUIDED:
-        problems.append(
-            f"route speedup (guided/scalar) {guided:.2f}x below the "
-            f"{ROUTE_MIN_SPEEDUP_GUIDED:.1f}x gate")
+    for label, value in (("neutral", neutral), ("guided", guided)):
+        if value < ROUTE_MIN_SPEEDUP:
+            problems.append(
+                f"route speedup ({label}) {value:.2f}x below the "
+                f"{ROUTE_MIN_SPEEDUP:.1f}x gate")
     if not route.get("paths_identical", False):
         bad = [name for name, s in route.get("scenarios", {}).items()
                if not s.get("paths_identical", False)]
@@ -358,6 +353,26 @@ def check_ingest(ingest: dict, baseline: dict | None,
     return problems
 
 
+def pin_allocator() -> bool:
+    """Keep freed memory in the heap instead of returning it to the OS.
+
+    By default glibc serves large arrays from fresh ``mmap`` pages, and
+    its threshold for doing so rises whenever a large block is freed, so
+    each section's timings depend on what earlier sections happened to
+    allocate: the forward sweep's B=16 temporaries paid page faults or
+    not depending on the route section before it.  Pinning the mmap and
+    trim thresholds at 1 GiB puts every section in the same allocator
+    state.  Returns False where ``mallopt`` is unavailable.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    return (mallopt(m_trim_threshold, 1 << 30) == 1
+            and mallopt(m_mmap_threshold, 1 << 30) == 1)
+
+
 def measure(scale_name: str, workers: int = 1) -> dict:
     """Run the instrumented pipeline and return the perf payload."""
     scale = SCALES[scale_name]
@@ -424,13 +439,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="fail when a stage regressed > 3x vs baseline "
                              "or a route gate fails")
-    parser.add_argument("--route-workers", type=int, default=2,
-                        help="worker count for the net-parallel identity "
-                             "check of the route section")
     args = parser.parse_args(argv)
+    pin_allocator()
 
     payload = measure(args.scale, workers=args.workers)
-    payload["route"] = measure_route(workers=args.route_workers)
+    payload["route"] = measure_route()
     payload["forward"] = measure_forward()
     payload["ingest"] = measure_ingest()
 

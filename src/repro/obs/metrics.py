@@ -69,23 +69,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def merge_summary(self, count: int, total: float,
-                      min_value: float, max_value: float) -> None:
-        """Fold a pre-aggregated (count, sum, min, max) summary in.
-
-        Lets producers that already aggregate locally (e.g. the router's
-        per-net frontier-batch window, or a worker process) report without
-        replaying every observation.
-        """
-        if count <= 0:
-            return
-        self.count += int(count)
-        self.total += float(total)
-        if min_value < self.min:
-            self.min = float(min_value)
-        if max_value > self.max:
-            self.max = float(max_value)
-
     def to_dict(self) -> dict[str, float]:
         if self.count == 0:
             return {"count": 0, "sum": 0.0}
@@ -106,10 +89,6 @@ class _NullMetric:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def merge_summary(self, count: int, total: float,
-                      min_value: float, max_value: float) -> None:
         pass
 
 

@@ -1,8 +1,7 @@
 """Grid-based analog detailed router with symmetry and guidance support."""
 
-from repro.router.astar import ENGINES, AStarRouter, CostParams
+from repro.router.astar import AStarRouter, CostParams
 from repro.router.costfield import CostField, build_add_core
-from repro.router.pqueue import BucketQueue
 from repro.router.global_route import (
     GlobalRouteConfig,
     congestion_map,
@@ -16,10 +15,8 @@ from repro.router.result import NetRoute, RoutingResult
 
 __all__ = [
     "AStarRouter",
-    "BucketQueue",
     "CostField",
     "CostParams",
-    "ENGINES",
     "build_add_core",
     "FREE",
     "BLOCKED",

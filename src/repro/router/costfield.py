@@ -19,18 +19,9 @@ All fields use a **padded** layout: the grid is embedded in an
 ``(nx + 2, ny + 2, nl + 2)`` box whose border cells carry ``add = inf``.
 Neighbor indices of in-grid cells are then always valid, so the expansion
 loop needs no bounds checks at all.
-
-:meth:`CostField.quantize` detects when the step-cost alphabet lies on a
-dyadic lattice (all costs are exact multiples of ``2**-k``).  Integer cost
-arithmetic is then *bit-exact* with the float arithmetic of the reference
-router, which is what lets the bucketed queue engine (see
-``repro.router.pqueue``) batch equal-priority frontier nodes without
-changing a single routed path.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +29,6 @@ from repro.reliability.errors import RoutingError
 from repro.router.grid import BLOCKED, FREE, GridNode, RoutingGrid
 
 INF = float("inf")
-
-#: Candidate dyadic quantization scales, coarse to fine.
-_QUANT_SCALES = tuple(2 ** k for k in range(0, 21))
-
-#: Integer cost values must keep every partial sum below this bound so the
-#: equivalent float sums are exact (dyadics below 2**52 add without
-#: rounding).
-_EXACT_SUM_BOUND = 1 << 52
-
-#: Cached marker for "this field's costs do not quantize".
-_NO_QUANT = ("no-quant",)
 
 
 def validate_connection_inputs(
@@ -98,50 +78,14 @@ def validate_connection_inputs(
     return guid, mult
 
 
-@dataclass
-class QuantizedField:
-    """Integer twin of a :class:`CostField` on a dyadic cost lattice.
-
-    Attributes:
-        scale: ``int_cost = float_cost * scale`` for every alphabet member.
-        add: int64 additive-entry costs (padded flat); ``impassable`` marks
-            blocked cells (any value >= it is unreachable).
-        h: int64 heuristic (padded flat).
-        step_x / step_y: int64 planar step cost per *padded* layer index.
-        via: integer via step cost.
-        impassable: sentinel additive cost for blocked cells.
-        f_bound: exclusive upper bound on any reachable f value; the bucket
-            queue packs ``(f, g)`` keys with this modulus.
-        add_list / h_list / step_x_list / step_y_list: plain-list mirrors
-            of the arrays for the sequential small-batch loop (Python list
-            indexing beats numpy scalar indexing by ~10x).
-        h_factor: integer multiplier applied to ``h`` per push (folds
-            ``h_scale * scale`` when ``h`` is the shared unscaled
-            Manhattan field; 1 when ``h`` is a full precomputed field).
-    """
-
-    scale: int
-    add: np.ndarray
-    h: np.ndarray
-    step_x: np.ndarray
-    step_y: np.ndarray
-    via: int
-    impassable: int
-    f_bound: int
-    add_list: list
-    h_list: list
-    h_factor: int
-    step_x_list: list
-    step_y_list: list
-
-
 class CostField:
     """Flat per-connection cost arrays over the padded grid.
 
     Built once per :meth:`AStarRouter.route_connection
-    <repro.router.astar.AStarRouter.route_connection>`; every engine
-    (reference, scalar, bucketed) reads its costs from here so their
-    arithmetic — and therefore their tie-breaking — cannot diverge.
+    <repro.router.astar.AStarRouter.route_connection>` (or reused from the
+    :class:`AddField` cache) and read by its expansion loop.  Every term is
+    computed exactly as the seed router computed it, so float sums — and
+    therefore tie-breaking — match it bit for bit.
     """
 
     def __init__(
@@ -158,16 +102,14 @@ class CostField:
         via_cost: float,
         present_penalty: float,
         history_weight: float,
-        layer_aware_h: bool = False,
         add_core: "AddField | None" = None,
         man_cache: "dict | None" = None,
     ) -> None:
         nx, ny, nl = grid.nx, grid.ny, grid.num_layers
-        self.nx, self.ny, self.nl = nx, ny, nl
+        self.nx, self.ny = nx, ny
         self.nyp, self.nlp = ny + 2, nl + 2
         self.dix = self.nyp * self.nlp  # +x neighbor stride (padded)
         self.soft = soft
-        self.layer_aware_h = layer_aware_h
 
         # Per-(layer, axis) planar step cost, matching the seed router's
         # arithmetic term for term (identical float rounding).
@@ -180,7 +122,6 @@ class CostField:
                 base = wire_cost if axis == pref_axis else (
                     wire_cost * wrong_way_penalty)
                 planar[layer, axis] = base * guid[axis] * scale
-        self.planar = planar
         self.via = via_cost * guid[2]
         self.h_scale = float(planar.min())
 
@@ -191,32 +132,26 @@ class CostField:
         pad_y[1:-1] = planar[:, 1]
         self.step_x = pad_x.tolist()
         self.step_y = pad_y.tolist()
-        self._step_x_arr = pad_x
-        self._step_y_arr = pad_y
 
-        # Additive entry costs.  The scalar engine keeps the history and
-        # present-penalty terms separate in soft mode so its float sums
-        # associate exactly like the seed router's
-        # ``((g + step) + extra) + history`` chain; the combined array is
-        # what the integer (bucketed) engine and the quantization probe
-        # use — integer sums are association-free.  The list mirrors are
-        # exposed lazily (see the properties below): a bucketed route
-        # never touches the float lists and skips their ``tolist`` cost.
+        # Additive entry costs.  Soft mode keeps the history and
+        # present-penalty terms separate so float sums associate exactly
+        # like the seed router's ``((g + step) + extra) + history`` chain;
+        # hard mode reads the combined list.  The list mirrors are built
+        # lazily and cached on the :class:`AddField` (see the properties
+        # below), so only the mode in use pays their ``tolist`` cost.
         if add_core is None:
             add_core = build_add_core(
                 grid, net=net, soft=soft,
                 present_penalty=present_penalty,
                 history_weight=history_weight)
         self._add_core = add_core
-        self.add = add_core.padded_combined()
 
         self._man_cache = man_cache
-        self._quant_core: "tuple | None" = None
         self.retarget(targets)
 
     @property
     def add_list(self) -> list:
-        """Float combined-cost list (scalar engine only), lazily built."""
+        """Hard-mode combined-cost list, lazily built."""
         return self._add_core.padded_combined_list()
 
     @property
@@ -235,24 +170,22 @@ class CostField:
                  ) -> None:
         """Point the target-dependent fields at a new target set.
 
-        Everything else (step costs, additive costs, quantization core)
-        depends only on (grid state, guidance, multipliers, mode) and is
-        reused across the connections of one net attempt — the router
-        caches the field per that key and calls this per connection.
+        Everything else (step costs, additive costs) depends only on
+        (grid state, guidance, multipliers, mode) and is reused across the
+        connections of one net attempt — the router caches the field per
+        that key and calls this per connection.
         """
-        nx, ny, nl = self.nx, self.ny, self.nl
+        nx, ny = self.nx, self.ny
         self.target_nodes = frozenset(self.encode(t) for t in targets)
-        self.single_target = (next(iter(self.target_nodes))
-                              if len(self.target_nodes) == 1 else None)
 
         # Heuristic field.  Single-target searches (the iterative router's
         # only shape) read an *unscaled* integer Manhattan-distance field,
         # cacheable across connections/guidance in ``man_cache``, and the
-        # engines multiply by ``h_factor`` per push — ``man * h_scale`` is
-        # the seed router's exact float expression.  Multi-target or
-        # layer-aware searches precompute the full scaled field as a
-        # vectorized min over the target coordinate arrays.
-        if self.single_target is not None and not self.layer_aware_h:
+        # search multiplies by ``h_factor`` per push — ``man * h_scale`` is
+        # the seed router's exact float expression.  Multi-target searches
+        # precompute the full scaled field as a vectorized min over the
+        # target coordinate arrays.
+        if len(self.target_nodes) == 1:
             target = next(iter(targets))
             key = (target[0], target[1])
             man_cache = self._man_cache
@@ -262,39 +195,26 @@ class CostField:
                             - target[0])
                 my = np.abs(np.arange(-1, ny + 1, dtype=np.int64)
                             - target[1])
-                man = np.broadcast_to(
+                cached = np.broadcast_to(
                     (mx[:, None] + my[None, :])[:, :, None],
-                    (nx + 2, self.nyp, self.nlp)).reshape(-1)
-                cached = (man, man.tolist())
+                    (nx + 2, self.nyp, self.nlp)).reshape(-1).tolist()
                 if man_cache is not None:
                     man_cache[key] = cached
-            self.h, self.h_list = cached
+            self.h_list = cached
             self.h_factor = self.h_scale
-            self._h_is_man = True
             return
 
         txs = np.fromiter((t[0] for t in targets), dtype=np.int64,
                           count=len(targets))
         tys = np.fromiter((t[1] for t in targets), dtype=np.int64,
                           count=len(targets))
-        tls = np.fromiter((t[2] for t in targets), dtype=np.int64,
-                          count=len(targets))
         man = (np.abs(np.arange(nx)[:, None] - txs[None, :])[:, None, :]
                + np.abs(np.arange(ny)[:, None] - tys[None, :])[None, :, :])
         h_t = man * self.h_scale  # (nx, ny, T)
-        if self.layer_aware_h:
-            ldist = np.abs(np.arange(nl)[:, None] - tls[None, :])  # (nl, T)
-            h_core = (h_t[:, :, None, :] + ldist[None, None, :, :] * self.via
-                      ).min(axis=3)
-        else:
-            h_core = np.broadcast_to(
-                h_t.min(axis=2)[:, :, None], (nx, ny, nl))
         h = np.zeros((nx + 2, self.nyp, self.nlp), dtype=np.float64)
-        h[1:-1, 1:-1, 1:-1] = h_core
-        self.h = h.reshape(-1)
-        self.h_list = self.h.tolist()
+        h[1:-1, 1:-1, 1:-1] = h_t.min(axis=2)[:, :, None]
+        self.h_list = h.reshape(-1).tolist()
         self.h_factor = 1.0
-        self._h_is_man = False
 
     # -- coordinates ---------------------------------------------------------
 
@@ -308,116 +228,20 @@ class CostField:
         rem = node // self.nlp
         return (rem // self.nyp - 1, rem % self.nyp - 1, layer - 1)
 
-    # -- quantization --------------------------------------------------------
-
-    def quantize(self) -> QuantizedField | None:
-        """Integer twin of this field, or None when costs don't quantize.
-
-        Succeeds when every member of the step-cost alphabet (planar costs,
-        via cost, additive entry costs, heuristic scale) is an exact dyadic
-        multiple of ``2**-k`` for some ``k <= 20`` *and* the worst-case
-        accumulated path cost stays below ``2**52`` in integer units — the
-        regime where float and integer cost arithmetic agree bit for bit.
-
-        The target-independent part (scale probe, bounds, integer cost
-        arrays) is computed once per field and survives :meth:`retarget`;
-        only the heuristic packaging is per-target.
-        """
-        core = self._quant_core
-        if core is None:
-            core = self._quant_core = self._build_quant_core()
-        if core is _NO_QUANT:
-            return None
-        (scale, via_i, impassable, f_bound, add_i, add_i_list,
-         sx_i, sy_i, sx_i_list, sy_i_list, h_factor_man) = core
-        if self._h_is_man:
-            # The cached Manhattan field is already integer and unscaled;
-            # the integer factor folds ``h_scale * scale`` (exact dyadic).
-            h_i = self.h
-            h_i_list = self.h_list
-            h_factor = h_factor_man
-        else:
-            h_i = (self.h * scale).astype(np.int64)
-            h_i_list = h_i.tolist()
-            h_factor = 1
-        return QuantizedField(
-            scale=scale,
-            add=add_i,
-            h=h_i,
-            step_x=sx_i,
-            step_y=sy_i,
-            via=via_i,
-            impassable=impassable,
-            f_bound=f_bound,
-            add_list=add_i_list,
-            h_list=h_i_list,
-            h_factor=h_factor,
-            step_x_list=sx_i_list,
-            step_y_list=sy_i_list,
-        )
-
-    def _build_quant_core(self):
-        """Target-independent quantization pieces, or the no-quant marker."""
-        # Probe the *separate* terms of the reference float chain
-        # ``((g + step) + extra) + history`` — each must be dyadic for the
-        # chain to be rounding-free under any association.
-        add_alphabet = self._add_core.alphabet()
-        alphabet = np.concatenate([
-            self.planar.reshape(-1),
-            np.array([self.via, self.h_scale], dtype=np.float64),
-            add_alphabet,
-        ])
-        if float(min(self.planar.min(), self.via)) <= 0.0:
-            # A zero step cost would let a relaxation re-enter the (f, g)
-            # bucket currently being expanded, breaking the monotone-queue
-            # invariant; the heap engine handles that regime instead.
-            return _NO_QUANT
-        # Fast-fail probe: if a value isn't dyadic at the finest scale it
-        # isn't dyadic at any coarser one (power-of-two scaling is exact),
-        # so continuous-guidance connections pay one check, not 21.
-        finest = alphabet * _QUANT_SCALES[-1]
-        if not np.all(finest == np.floor(finest)):
-            return _NO_QUANT
-        scale = None
-        for cand in _QUANT_SCALES:
-            scaled = alphabet * cand  # exact: power-of-two scaling
-            if np.all(scaled == np.floor(scaled)):
-                scale = cand
-                break
-        if scale is None:
-            return _NO_QUANT
-        max_step = float(max(self.planar.max(), self.via))
-        # Upper bound on any finite additive entry cost (history + extra).
-        max_add = 2.0 * float(add_alphabet.max()) if add_alphabet.size else 0.0
-        cells = self.nx * self.ny * self.nl
-        g_bound = int((cells + 1) * (max_step + max_add + 1.0) * scale) + 1
-        h_bound = int((self.nx + self.ny) * self.h_scale * scale
-                      + self.nl * self.via * scale) + 1
-        f_bound = g_bound + h_bound
-        if f_bound >= _EXACT_SUM_BOUND:
-            return _NO_QUANT
-        impassable = f_bound + 1
-        add_i, add_i_list = self._add_core.quantized_add(scale, impassable)
-        sx_i = (self._step_x_arr * scale).astype(np.int64)
-        sy_i = (self._step_y_arr * scale).astype(np.int64)
-        return (scale, int(self.via * scale), impassable, f_bound,
-                add_i, add_i_list, sx_i, sy_i,
-                sx_i.tolist(), sy_i.tolist(), int(self.h_scale * scale))
-
 
 class AddField:
     """Additive-entry cost volumes for one (net, mode) grid state.
 
     Holds the occupancy/ownership-derived parts of the cost field — the
-    only parts that rescan the grid — and caches their padded / quantized
-    forms so :class:`~repro.router.iterative.IterativeRouter` can reuse
-    one instance across every connection of a net attempt (the grid is
-    static within one attempt).  Instances must be discarded whenever
+    only parts that rescan the grid — and caches their padded list forms
+    so :class:`~repro.router.iterative.IterativeRouter` can reuse one
+    instance across every connection of a net attempt (the grid is static
+    within one attempt).  Instances must be discarded whenever
     occupancy or history change.
 
     Attributes:
         combined: ``history + extra`` with ``inf`` on impassable cells
-            (bucketed engine / quantization probe).
+            (hard mode).
         history: the weighted history term alone (finite everywhere).
         extra: present penalty on foreign cells (soft mode), ``inf`` on
             impassable cells.
@@ -432,11 +256,8 @@ class AddField:
         #: (see ``AStarRouter.route_connection``); dies with the instance,
         #: so it can never outlive the grid state it was built from.
         self.field_cache: dict = {}
-        self._padded: "np.ndarray | None" = None
         self._padded_list: "list | None" = None
         self._split: "tuple[list, list] | None" = None
-        self._alphabet: "np.ndarray | None" = None
-        self._quant: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
 
     def _pad(self, volume: np.ndarray, fill: float) -> np.ndarray:
         nx, ny, nl = self.combined.shape
@@ -444,16 +265,10 @@ class AddField:
         padded[1:-1, 1:-1, 1:-1] = volume
         return padded.reshape(-1)
 
-    def padded_combined(self) -> np.ndarray:
-        """Padded flat combined costs (array), cached."""
-        if self._padded is None:
-            self._padded = self._pad(self.combined, INF)
-        return self._padded
-
     def padded_combined_list(self) -> list:
-        """Plain-list mirror of :meth:`padded_combined`, cached."""
+        """Padded flat combined costs, cached."""
         if self._padded_list is None:
-            self._padded_list = self.padded_combined().tolist()
+            self._padded_list = self._pad(self.combined, INF).tolist()
         return self._padded_list
 
     def padded_split(self) -> "tuple[list, list]":
@@ -462,28 +277,6 @@ class AddField:
             self._split = (self._pad(self.extra, INF).tolist(),
                            self._pad(self.history, 0.0).tolist())
         return self._split
-
-    def alphabet(self) -> np.ndarray:
-        """Distinct finite history and extra values, cached."""
-        if self._alphabet is None:
-            self._alphabet = np.concatenate([
-                np.unique(self.history),
-                np.unique(self.extra[np.isfinite(self.extra)]),
-            ])
-        return self._alphabet
-
-    def quantized_add(self, scale: int, impassable: int
-                      ) -> "tuple[np.ndarray, list]":
-        """Integer padded combined costs at ``scale``, cached per key."""
-        key = (scale, impassable)
-        cached = self._quant.get(key)
-        if cached is None:
-            flat = self.padded_combined()
-            add_i = np.where(np.isfinite(flat), flat * scale,
-                             float(impassable)).astype(np.int64)
-            cached = (add_i, add_i.tolist())
-            self._quant[key] = cached
-        return cached
 
 
 def build_add_core(

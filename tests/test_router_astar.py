@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.router import AStarRouter, CostParams, RoutingGrid
+from repro.router import AStarRouter, CostParams, RouterConfig, RoutingGrid
 
 
 @pytest.fixture()
@@ -143,3 +143,22 @@ class TestCosts:
         with pytest.raises(ValueError):
             router.route_connection("VDD", {(1, 1, 1)}, {(2, 2, 1)},
                                     guidance_vec=np.ones(4))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: CostParams(wire_cost=float("nan")), "wire_cost"),
+        (lambda: CostParams(wrong_way_penalty=float("inf")),
+         "wrong_way_penalty"),
+        (lambda: CostParams(via_cost=-4.0), "via_cost"),
+        (lambda: CostParams(present_penalty=-1.0), "present_penalty"),
+        (lambda: CostParams(history_weight=float("nan")), "history_weight"),
+        (lambda: RouterConfig(max_iterations=0), "max_iterations"),
+        (lambda: RouterConfig(max_expansions=0), "max_expansions"),
+        (lambda: RouterConfig(history_increment=-2.0), "history_increment"),
+        (lambda: RouterConfig(history_increment=float("inf")),
+         "history_increment"),
+    ])
+    def test_invalid_values_raise(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()

@@ -1,34 +1,31 @@
-"""Equivalence and unit tests for the rebuilt A* engines.
+"""Equivalence and unit tests for the A* router.
 
-The rebuilt router (PR 7) must be *bit-identical* to the seed router:
-same paths, same expansion counts, for every engine, guidance vector,
-and worker count.  These tests pin that contract — the bucket queue in
-isolation, engine-vs-reference equivalence under hypothesis-generated
-obstacles and guidance, quantization detection, speculative
-net-parallel identity, and the new observability surface.
+The router must be *bit-identical* to the seed router kept in
+``tests/router_oracle.py``: same paths, same expansion counts, for every
+guidance vector and mode.  These tests pin that contract — single
+connections under hypothesis-generated obstacles and guidance, whole
+``route_all`` runs on every built-in OTA — plus input validation, cost
+field reuse, and the expansion counter.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.netlist import build_benchmark
 from repro.obs import RunContext
-from repro.obs.metrics import MetricsRegistry
+from repro.placement import place_benchmark
 from repro.reliability.errors import RoutingError
 from repro.router import (
     BLOCKED,
     AStarRouter,
-    BucketQueue,
-    CostField,
-    CostParams,
     IterativeRouter,
-    RouterConfig,
     RoutingGrid,
     build_add_core,
 )
 from repro.router.astar import _STAMP_MAX
 from repro.router.guidance import RoutingGuidance, random_guidance
-from repro.router.pqueue import BucketQueue as PQBucketQueue
+from tests.router_oracle import ReferenceRouter
 
 
 def _free_cell(grid, layer=1, start=(0, 0)):
@@ -37,51 +34,6 @@ def _free_cell(grid, layer=1, start=(0, 0)):
             if grid.occupancy[ix, iy, layer] == -1:
                 return (ix, iy, layer)
     raise AssertionError("no free cell found")
-
-
-class TestBucketQueue:
-    def test_pops_in_priority_order(self):
-        q = BucketQueue(modulus=100)
-        q.push(5, 2, 11)
-        q.push(3, 1, 22)
-        q.push(5, 1, 33)
-        assert q.pop_batch() == (3, 1, [22])
-        assert q.pop_batch() == (5, 1, [33])
-        assert q.pop_batch() == (5, 2, [11])
-
-    def test_g_breaks_f_ties(self):
-        q = BucketQueue(modulus=10)
-        q.push(4, 9, 1)
-        q.push(4, 0, 2)
-        f, g, nodes = q.pop_batch()
-        assert (f, g, nodes) == (4, 0, [2])
-
-    def test_batch_groups_equal_keys_in_push_order(self):
-        q = BucketQueue(modulus=64)
-        for node in (7, 3, 9):
-            q.push(2, 5, node)
-        assert q.pop_batch() == (2, 5, [7, 3, 9])
-
-    def test_len_and_bool(self):
-        q = BucketQueue(modulus=8)
-        assert not q and len(q) == 0
-        q.push(1, 0, 0)
-        q.push(1, 0, 1)
-        q.push(2, 1, 2)
-        assert q and len(q) == 3
-        q.pop_batch()
-        assert len(q) == 1
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            BucketQueue(modulus=8).pop_batch()
-
-    def test_invalid_modulus_rejected(self):
-        with pytest.raises(ValueError, match="modulus"):
-            BucketQueue(modulus=0)
-
-    def test_reexported_from_package(self):
-        assert BucketQueue is PQBucketQueue
 
 
 class TestInputValidation:
@@ -119,28 +71,25 @@ class TestInputValidation:
                         layer_multipliers=np.ones(fresh_grid.num_layers + 1))
 
     def test_routing_error_reaches_reference_engine_too(self, fresh_grid):
-        router = AStarRouter(fresh_grid, engine="reference")
+        router = ReferenceRouter(fresh_grid)
         net = fresh_grid.net_names[0]
         src = _free_cell(fresh_grid, layer=1)
         with pytest.raises(RoutingError):
             router.route_connection(net, {src}, {src},
                                     guidance_vec=np.array([np.nan, 1, 1]))
 
-    def test_unknown_engine_rejected(self, fresh_grid):
-        with pytest.raises(ValueError, match="engine"):
-            AStarRouter(fresh_grid, engine="warp")
 
 
-def _route_one(grid, engine, src, dst, guid, soft):
-    router = AStarRouter(grid, engine=engine)
+def _route_one(grid, router_cls, src, dst, guid, soft):
+    router = router_cls(grid)
     path = router.route_connection(grid.net_names[0], {src}, {dst},
                                    guidance_vec=guid, soft=soft)
     return path, router.expansions_total
 
 
 class TestEngineEquivalence:
-    """Every engine returns the reference router's exact path and
-    expansion count, under randomized obstacles, guidance, and mode."""
+    """The router returns the oracle's exact path and expansion count,
+    under randomized obstacles, guidance, and mode."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -170,12 +119,11 @@ class TestEngineEquivalence:
             dst = tuple(int(v) for v in still_free[t_idx])
             guid = np.array([gx, gy, gz])
 
-            ref_path, ref_exp = _route_one(grid, "reference", src, dst,
+            ref_path, ref_exp = _route_one(grid, ReferenceRouter, src, dst,
                                            guid, soft)
-            for engine in ("auto", "scalar", "bucketed"):
-                path, exp = _route_one(grid, engine, src, dst, guid, soft)
-                assert path == ref_path, engine
-                assert exp == ref_exp, engine
+            path, exp = _route_one(grid, AStarRouter, src, dst, guid, soft)
+            assert path == ref_path
+            assert exp == ref_exp
         finally:
             grid.occupancy[:] = saved
 
@@ -188,11 +136,11 @@ class TestEngineEquivalence:
         expected = AStarRouter(grid).route_connection(net, {src}, {dst})
         assert expected is not None
 
-        for engine, state_getter in (
-            ("auto", AStarRouter._get_list_state),
-            ("reference", AStarRouter._get_ref_state),
+        for router_cls, state_getter in (
+            (AStarRouter, AStarRouter._get_list_state),
+            (ReferenceRouter, ReferenceRouter._get_ref_state),
         ):
-            router = AStarRouter(grid, engine=engine)
+            router = router_cls(grid)
             assert router.route_connection(net, {src}, {dst}) == expected
             state = state_getter(router)
             state.generation = _STAMP_MAX
@@ -200,100 +148,6 @@ class TestEngineEquivalence:
             # 1, and the stale stamps from the first search cannot alias.
             assert router.route_connection(net, {src}, {dst}) == expected
             assert state.generation == 1
-
-
-def _path_cost(field: CostField, path) -> float:
-    """Accumulate a path's g the way every engine does."""
-    cost = 0.0
-    for prev, cur in zip(path, path[1:]):
-        if prev[2] != cur[2]:
-            cost += field.via
-        elif prev[1] != cur[1]:
-            cost += field.planar[cur[2], 1]
-        else:
-            cost += field.planar[cur[2], 0]
-        cost += float(field.add[field.encode(cur)])
-    return cost
-
-
-class TestLayerAwareHeuristic:
-    """Satellite (b): the |l_t - l| * via_cost heuristic term is
-    admissible — fewer expansions, same optimal path cost."""
-
-    def test_fewer_expansions_same_cost(self, fresh_grid):
-        grid = fresh_grid
-        net = grid.net_names[0]
-        src = _free_cell(grid, layer=0)
-        dst = _free_cell(grid, layer=grid.num_layers - 1,
-                         start=(src[0] + 3, 0))
-
-        plain = AStarRouter(grid, CostParams())
-        aware = AStarRouter(grid, CostParams(layer_aware_h=True))
-        path_plain = plain.route_connection(net, {src}, {dst})
-        path_aware = aware.route_connection(net, {src}, {dst})
-        assert path_plain is not None and path_aware is not None
-        assert path_aware[0] == src and path_aware[-1] == dst
-
-        field = CostField(
-            grid, net=net, guid=(1.0, 1.0, 1.0), layer_multipliers=None,
-            soft=False, targets={dst}, wire_cost=1.0, wrong_way_penalty=2.5,
-            via_cost=4.0, present_penalty=25.0, history_weight=1.0)
-        assert _path_cost(field, path_aware) == pytest.approx(
-            _path_cost(field, path_plain))
-        assert aware.expansions_total <= plain.expansions_total
-
-    def test_layer_aware_matches_scalar_engine(self, fresh_grid):
-        """Both engines agree under the tighter heuristic too."""
-        grid = fresh_grid
-        net = grid.net_names[0]
-        src = _free_cell(grid, layer=0)
-        dst = _free_cell(grid, layer=grid.num_layers - 1,
-                         start=(src[0] + 3, 0))
-        params = CostParams(layer_aware_h=True)
-        a = AStarRouter(grid, params, engine="bucketed")
-        b = AStarRouter(grid, params, engine="scalar")
-        assert (a.route_connection(net, {src}, {dst})
-                == b.route_connection(net, {src}, {dst}))
-        assert a.expansions_total == b.expansions_total
-
-
-class TestQuantizationDetection:
-    def _field(self, grid, *, guid=(1.0, 1.0, 1.0), via_cost=4.0,
-               wire_cost=1.0):
-        net = grid.net_names[0]
-        dst = _free_cell(grid, layer=1)
-        return CostField(
-            grid, net=net, guid=guid, layer_multipliers=None, soft=False,
-            targets={dst}, wire_cost=wire_cost, wrong_way_penalty=2.5,
-            via_cost=via_cost, present_penalty=25.0, history_weight=1.0)
-
-    def test_dyadic_costs_quantize(self, fresh_grid):
-        q = self._field(fresh_grid, guid=(1.5, 0.25, 2.0)).quantize()
-        assert q is not None
-        assert q.scale >= 1 and q.f_bound < 2**52
-        assert q.impassable == q.f_bound + 1
-
-    def test_non_dyadic_guidance_falls_back(self, fresh_grid):
-        field = self._field(fresh_grid, guid=(1 / 3, 1.0, 1.0))
-        assert field.quantize() is None
-        # The no-quant verdict is cached, not re-probed.
-        assert field.quantize() is None
-
-    def test_zero_step_cost_falls_back(self, fresh_grid):
-        """A zero-cost step would break the monotone-bucket invariant."""
-        assert self._field(fresh_grid, via_cost=0.0).quantize() is None
-        assert self._field(fresh_grid, wire_cost=0.0,
-                           guid=(0.0, 1.0, 1.0)).quantize() is None
-
-    def test_quant_core_survives_retarget(self, fresh_grid):
-        field = self._field(fresh_grid)
-        first = field.quantize()
-        other = _free_cell(fresh_grid, layer=2, start=(3, 3))
-        field.retarget({other})
-        second = field.quantize()
-        assert first is not None and second is not None
-        assert second.scale == first.scale
-        assert second.add is first.add  # target-independent parts reused
 
 
 class TestCostFieldReuse:
@@ -329,235 +183,52 @@ class TestCostFieldReuse:
         assert len(core.field_cache) == 2
 
 
-class TestNetParallelIdentity:
-    """Speculative net-parallel routing is bit-identical to serial."""
+def _routed(placement, tech, guidance_seed, oracle):
+    """``route_all`` on a fresh grid: (paths, failed nets, expansions)."""
+    grid = RoutingGrid(placement, tech)
+    guidance = RoutingGuidance()
+    if guidance_seed is not None:
+        keys = [ap.key for aps in grid.access_points.values() for ap in aps]
+        guidance = random_guidance(keys, np.random.default_rng(guidance_seed))
+    router = IterativeRouter(grid, guidance)
+    if oracle:
+        router.astar = ReferenceRouter(grid, router.config.cost)
+    result = router.route_all()
+    paths = {name: tuple(tuple(p) for p in route.paths)
+             for name, route in result.routes.items()}
+    return paths, result.failed_nets, router.astar.expansions_total
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_workers_match_serial(self, ota1_placement, tech, workers):
-        def run(n_workers):
-            grid = RoutingGrid(ota1_placement, tech)
-            router = IterativeRouter(
-                grid, RoutingGuidance(),
-                RouterConfig(workers=n_workers))
-            result = router.route_all()
-            paths = {name: tuple(tuple(p) for p in route.paths)
-                     for name, route in result.routes.items()}
-            return paths, result.failed_nets, router.astar.expansions_total
 
-        serial = run(0)
-        assert run(workers) == serial
+class TestRouteAllIdentity:
+    """Whole-circuit routing matches the oracle on every built-in OTA,
+    neutral and guided: rip-up, negotiation and history included."""
 
-    def test_workers_match_serial_with_guidance(self, ota1_placement, tech):
-        rng = np.random.default_rng(7)
-        grid0 = RoutingGrid(ota1_placement, tech)
-        keys = [ap.key for aps in grid0.access_points.values() for ap in aps]
-        guidance = random_guidance(keys, rng)
+    @pytest.fixture(scope="class")
+    def placements(self):
+        return {name: place_benchmark(build_benchmark(name), variant="A",
+                                      seed=0, iterations=200)
+                for name in ("OTA1", "OTA2", "OTA3")}
 
-        def run(n_workers):
-            grid = RoutingGrid(ota1_placement, tech)
-            router = IterativeRouter(grid, guidance,
-                                     RouterConfig(workers=n_workers))
-            result = router.route_all()
-            return {name: tuple(tuple(p) for p in route.paths)
-                    for name, route in result.routes.items()}
-
-        assert run(2) == run(0)
-
-    def test_worker_count_validated(self):
-        from repro.perf.parallel import NetPool
-        with pytest.raises(ValueError, match="workers"):
-            NetPool(None, None, None, workers=0)
+    @pytest.mark.parametrize("guidance_seed", [None, 7],
+                             ids=["neutral", "guided"])
+    @pytest.mark.parametrize("circuit", ["OTA1", "OTA2", "OTA3"])
+    def test_route_all_matches_oracle(self, placements, tech, circuit,
+                                      guidance_seed):
+        placement = placements[circuit]
+        ours = _routed(placement, tech, guidance_seed, oracle=False)
+        oracle = _routed(placement, tech, guidance_seed, oracle=True)
+        assert ours == oracle
+        assert ours[2] > 0
 
 
 class TestRouterObservability:
-    """Satellite (f): expansion counters and frontier-batch histogram."""
-
     def test_expansion_counters_by_mode(self, ota1_placement, tech):
         obs = RunContext.recording()
         grid = RoutingGrid(ota1_placement, tech)
         router = IterativeRouter(grid, obs=obs)
         router.route_all()
         counters = obs.metrics.counter_values()
-        by_mode = {name: v for name, v in counters.items()
-                   if name.startswith("route_expansions_total")}
-        assert by_mode  # neutral guidance -> at least the bucketed mode
-        assert sum(by_mode.values()) == router.astar.expansions_total
-        for mode, count in router.astar.expansions_by_mode.items():
-            assert by_mode[f"route_expansions_total{{mode={mode}}}"] == count
-
-    def test_frontier_batch_histogram(self, ota1_placement, tech):
-        obs = RunContext.recording()
-        grid = RoutingGrid(ota1_placement, tech)
-        router = IterativeRouter(grid, obs=obs)
-        router.route_all()
-        hist = obs.metrics.to_dict()["histograms"]["route_frontier_batch"]
-        stats = router.astar.batch_stats
-        assert hist["count"] == stats["count"] > 0
-        assert hist["sum"] == pytest.approx(stats["sum"])
-        assert hist["min"] == stats["min"] >= 1
-        assert hist["max"] == stats["max"]
-
-    def test_speculation_outcome_counters(self, ota1_placement, tech):
-        obs = RunContext.recording()
-        grid = RoutingGrid(ota1_placement, tech)
-        router = IterativeRouter(grid, obs=obs,
-                                 config=RouterConfig(workers=2))
-        router.route_all()
-        spec = {name: v for name, v
-                in obs.metrics.counter_values().items()
-                if name.startswith("route_speculation_total")}
-        allowed = {"accepted", "rejected", "bypassed", "error"}
-        assert spec and sum(spec.values()) > 0
-        for name in spec:
-            outcome = name.split("outcome=")[1].rstrip("}")
-            assert outcome in allowed
-
-    def test_histogram_merge_summary(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        h.observe(4.0)
-        h.merge_summary(count=3, total=9.0, min_value=1.0, max_value=6.0)
-        d = reg.to_dict()["histograms"]["h"]
-        assert d["count"] == 4
-        assert d["sum"] == pytest.approx(13.0)
-        assert d["min"] == 1.0 and d["max"] == 6.0
-
-    def test_merge_summary_ignores_empty_window(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        h.merge_summary(count=0, total=0.0,
-                        min_value=float("inf"), max_value=float("-inf"))
-        assert reg.to_dict()["histograms"]["h"] == {"count": 0, "sum": 0.0}
-
-    def test_batch_window_drains(self, fresh_grid):
-        router = AStarRouter(fresh_grid)
-        net = fresh_grid.net_names[0]
-        src = _free_cell(fresh_grid, layer=1)
-        dst = _free_cell(fresh_grid, layer=1, start=(src[0] + 3, 0))
-        router.route_connection(net, {src}, {dst})
-        window = router.take_batch_window()
-        assert window["count"] > 0
-        assert router.take_batch_window()["count"] == 0
-        # Cumulative stats survive the drain.
-        assert router.batch_stats["count"] == window["count"]
-
-
-class _DoneFuture:
-    def __init__(self, outcome):
-        self._outcome = outcome
-
-    def done(self):
-        return True
-
-    def result(self):
-        return self._outcome
-
-
-class _PendingFuture:
-    def __init__(self):
-        self.cancelled = False
-
-    def done(self):
-        return False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class _FailingFuture:
-    def done(self):
-        return True
-
-    def result(self):
-        raise RuntimeError("worker died")
-
-
-class TestSpeculativeMerge:
-    """In-process replay of the worker/parent speculation protocol."""
-
-    @pytest.fixture()
-    def first_net(self, ota1_placement, tech):
-        grid = RoutingGrid(ota1_placement, tech)
-        router = IterativeRouter(grid)
-        for name in router._net_order():
-            if len(grid.access_points[name]) >= 2:
-                return name
-        raise AssertionError("no routable net")
-
-    def _outcome(self, ota1_placement, tech, net):
-        worker = IterativeRouter(RoutingGrid(ota1_placement, tech))
-        occ = worker.grid.occupancy.copy()
-        hist = worker.grid.history.copy()
-        return worker, worker.speculate_net(net, occ, hist)
-
-    def test_speculate_matches_serial_route(self, ota1_placement, tech,
-                                            first_net):
-        worker, outcome = self._outcome(ota1_placement, tech, first_net)
-        serial = IterativeRouter(RoutingGrid(ota1_placement, tech))
-        route, conflicts = serial._route_net(first_net)
-        assert outcome.route.paths == route.paths
-        assert outcome.conflicts == conflicts
-        assert outcome.reads.size > 0
-        assert list(outcome.reads) == sorted(outcome.reads)
-        # Sources/targets are part of the read set (conflict-scan reads).
-        packed = serial._pack_cells([outcome.route.paths[0][0]])
-        assert packed[0] in outcome.reads
-
-    def test_merge_accepts_clean_outcome(self, ota1_placement, tech,
-                                         first_net):
-        worker, outcome = self._outcome(ota1_placement, tech, first_net)
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        dirty = set()
-        route, _ = parent._merge_net(
-            first_net, {first_net: _DoneFuture(outcome)}, dirty, True)
-        assert route.paths == outcome.route.paths
-        assert np.array_equal(parent.grid.history, worker.grid.history)
-        assert parent.astar.expansions_total == sum(
-            outcome.expansions.values())
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=accepted}"] == 1
-
-    def test_merge_rejects_dirty_reads_and_falls_back(
-            self, ota1_placement, tech, first_net):
-        _, outcome = self._outcome(ota1_placement, tech, first_net)
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        dirty = {outcome.route.paths[0][0]}  # a source cell: always read
-        route, _ = parent._merge_net(
-            first_net, {first_net: _DoneFuture(outcome)}, dirty, True)
-        assert route.paths == outcome.route.paths  # fallback is identical
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=rejected}"] == 1
-
-    def test_merge_bypasses_pending_future(self, ota1_placement, tech,
-                                           first_net):
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        pending = _PendingFuture()
-        route, _ = parent._merge_net(
-            first_net, {first_net: pending}, set(), False)
-        assert pending.cancelled
-        assert route is not None
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=bypassed}"] == 1
-
-    def test_merge_survives_worker_error(self, ota1_placement, tech,
-                                         first_net):
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        route, _ = parent._merge_net(
-            first_net, {first_net: _FailingFuture()}, set(), False)
-        assert route is not None
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=error}"] == 1
-
-    def test_reads_clean_detects_overlap(self, ota1_placement, tech):
-        router = IterativeRouter(RoutingGrid(ota1_placement, tech))
-        reads = router._pack_cells([(1, 2, 3), (0, 0, 0), (4, 1, 2)])
-        reads.sort()
-        assert router._reads_clean(reads, set())
-        assert router._reads_clean(np.empty(0, dtype=np.int64), {(1, 2, 3)})
-        assert router._reads_clean(reads, {(9, 9, 1)})
-        assert not router._reads_clean(reads, {(1, 2, 3)})
-        assert not router._reads_clean(reads, {(9, 9, 1), (0, 0, 0)})
+        total = router.astar.expansions_total
+        assert total > 0
+        assert counters["route_expansions_total"] == total
+        assert router.astar.expansions_by_mode == {"scalar": total}
