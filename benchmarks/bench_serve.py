@@ -8,12 +8,11 @@ section of ``BENCH_perf.json`` (the rest of the file — the pipeline
 stages written by ``bench_perf.py`` — is preserved).
 
 Expected shape: throughput rises monotonically with ``max_batch``.
-The union forward amortizes per-forward Python and small-array
-overhead, and since the model cache-blocks the union internally
-(``DEFAULT_CACHE_BLOCK`` replicas per pass, working set held under
-L2), larger waves keep paying off rather than thrashing the cache;
-``forward_block`` merely caps the dispatch wave the service hands the
-model at once.
+Each wave is one model call, which amortizes per-call dispatch
+(fingerprint check, stacking, metric updates) over the wave; the
+model walks the wave in fixed chunks of ``FORWARD_CHUNK`` candidates,
+so per-candidate forward cost stays flat as waves grow rather than
+growing with the working set.
 
 Standalone usage (no pytest required)::
 
@@ -62,12 +61,12 @@ NUM_CANDIDATES = 64
 # scheduler noise on a 1-vCPU runner; a full sweep pass costs ~0.5 s.
 REPEATS = 25
 # Each sweep step must retain at least (1 - tol) of its predecessor's
-# throughput.  The curve is genuinely flat past forward_block (profiled
-# per-candidate cost is identical — the model cache-blocks internally),
+# throughput.  The curve is genuinely flat at large waves (the model
+# chunks every wave the same way, so per-candidate cost is identical),
 # so adjacent steps sit within measurement noise of each other; a
 # strict >= would flake.  12% clears the observed best-of-N jitter on
-# a noisy shared runner while still catching a real cliff (e.g. cache
-# thrash past forward_block).
+# a noisy shared runner while still catching a real cliff (e.g. a
+# working set that grows with the wave).
 MONOTONE_TOLERANCE = 0.12
 
 
@@ -98,7 +97,7 @@ def measure(candidates: int = NUM_CANDIDATES,
             service = ScoringService(ServeConfig(max_batch=max_batch,
                                                  max_queue=candidates))
             service.register("ota1", served, graph)
-            # Warm the union-plan cache so steady-state is measured.
+            # Warm the forward statics so steady-state is measured.
             list(service.score_stream(
                 ScoreRequest("ota1", g) for g in stream[:max_batch]))
             services[max_batch] = service

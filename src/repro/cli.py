@@ -39,8 +39,6 @@ from repro import (
 )
 from repro.graph import build_hetero_graph
 from repro.serve import (
-    DEFAULT_FORWARD_BLOCK,
-    PRECISIONS,
     ClusterConfig,
     ModelRegistry,
     ScoreRequest,
@@ -210,10 +208,9 @@ def _cmd_serve_save(args: argparse.Namespace) -> int:
         model = Gnn3d(graph.ap_features.shape[1],
                       graph.module_features.shape[1],
                       Gnn3dConfig(seed=args.seed))
-    manifest = registry.save(name, model, graph, precision=args.precision)
+    manifest = registry.save(name, model, graph)
     print(f"saved {manifest.name}@{manifest.version} to {args.registry} "
           f"(fingerprint {manifest.graph_fingerprint[-1][:12]}, "
-          f"{manifest.precision}, "
           f"{'trained' if args.samples else 'seed-initialized'})")
     return 0
 
@@ -254,8 +251,7 @@ def _cmd_serve_score(args: argparse.Namespace) -> int:
     graph = build_hetero_graph(RoutingGrid(placement, generic_40nm()))
     name, _, version = args.model.partition("@")
     service = ScoringService(
-        ServeConfig(max_batch=args.max_batch, max_queue=args.max_queue,
-                    forward_block=args.forward_block))
+        ServeConfig(max_batch=args.max_batch, max_queue=args.max_queue))
     manifest = service.register_checkpoint(
         name, ModelRegistry(args.registry), name, graph,
         version=version or None)
@@ -479,11 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "seed-initialized model)")
     p_ssave.add_argument("--epochs", type=int, default=20,
                          help="training epochs when --samples > 0")
-    p_ssave.add_argument("--precision", choices=list(PRECISIONS),
-                         default=PRECISIONS[0],
-                         help="serving execution dtype stamped into the "
-                              "manifest (weights persist float64; "
-                              "float32 casts on load)")
     p_ssave.set_defaults(func=_cmd_serve_save)
 
     p_score = sub.add_parser(
@@ -508,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="candidates coalesced per scoring wave")
     p_score.add_argument("--max-queue", type=int, default=64,
                          help="admission bound on pending requests")
-    p_score.add_argument("--forward-block", type=int,
-                         default=DEFAULT_FORWARD_BLOCK,
-                         help="candidates per union forward inside a wave")
     p_score.set_defaults(func=_cmd_serve_score)
 
     p_cluster = sub.add_parser(

@@ -127,8 +127,8 @@ class PotentialFunction:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Potentials and gradients for ``B`` candidates in one forward.
 
-        The candidates are independent (the batched GNN forward runs them
-        as a disjoint union, and barrier terms are per-row), so row ``b``
+        The candidates are independent (the batched GNN forward never
+        mixes candidates, and barrier terms are per-row), so row ``b``
         of the returned ``(B,)`` values and ``(B, num_variables)``
         gradients equals a scalar :meth:`value_and_grad` of that row —
         while the whole batch costs a single forward-backward pass.
@@ -156,9 +156,6 @@ class PotentialFunction:
         self.stats.forwards += 1
         c = Tensor(c_safe.reshape(batch, self.graph.num_aps, 3),
                    requires_grad=True)
-        # Explicitly the cache-blocked batched forward: relaxation waves
-        # (pool sizes 6/12 by default) ride the same per-(graph, B)
-        # union plans the scoring service uses.
         pred = self.model.forward_batch(self.graph, c)  # (B, num_metrics)
         fom = (pred * Tensor(np.tile(self._w_signed, (batch, 1)))).sum(axis=1)
         flat = c.reshape(batch, self.num_variables)
@@ -191,9 +188,6 @@ class PotentialFunction:
 
     def predicted_metrics(self, c_flat: np.ndarray) -> np.ndarray:
         """Normalized metric predictions at a guidance point (no grad)."""
-        # Relaxation operates in float64 by contract; only serve
-        # endpoints opt into float32, at the endpoint boundary.
-        # repro-lint: disable-next-line=PRE001 -- float64 relaxation contract
         c = Tensor(np.asarray(c_flat, dtype=float).reshape(self.graph.num_aps, 3))
         with no_grad():
             return self.model(self.graph, c).numpy()

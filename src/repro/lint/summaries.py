@@ -21,7 +21,7 @@ from typing import Any
 
 #: Bump on any change to the summary dataclasses or the extraction
 #: logic — cached summaries from another version are discarded.
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 #: Methods that mutate their receiver in place.  A call
 #: ``X.<method>(...)`` where ``X`` resolves to a *module-level* name is
@@ -93,8 +93,7 @@ class Event:
     Kinds: ``global-mutation`` (detail = dotted module-level target),
     ``unseeded-rng`` / ``entropy`` / ``global-rng`` (detail = qualname),
     ``backward`` / ``requires-grad`` (tape operations; ``in_no_grad``
-    marks ones already inside a tape-free region), ``float64-coercion``
-    (detail = offending expression sketch), ``raise`` (detail = raw
+    marks ones already inside a tape-free region), ``raise`` (detail = raw
     exception name chain or ``error_for_stage:<stage literal>``).
     """
 
@@ -570,17 +569,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             # recorded so WRK002 can attribute it to a worker path).
             self._event("global-rng", node.lineno, qualified)
 
-    def _dtype_is_float64(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Constant):
-            return node.value in ("float64", "f8", "d")
-        if isinstance(node, ast.Name):
-            return node.id == "float"
-        chain, _attr = _chain_of(node)
-        if chain is None:
-            return False
-        qualified = self._qualified(chain) or chain
-        return qualified in ("numpy.float64", "numpy.double")
-
     def visit_Call(self, node: ast.Call) -> None:
         chain, attr = _chain_of(node.func)
         self._fn.calls.append(CallSite(
@@ -591,8 +579,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         if chain is not None:
             qualified = self._qualified(chain) or chain
             self._rng_event(node, qualified)
-            if qualified in ("numpy.float64", "numpy.double"):
-                self._event("float64-coercion", node.lineno, f"{chain}(...)")
             if attr in MUTATING_METHODS and "." in chain:
                 segments = chain.split(".")
                 dotted = self._mutation_root(segments[0])
@@ -601,9 +587,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                     self._event("global-mutation", node.lineno, full)
         if attr == "backward":
             self._event("backward", node.lineno, ".backward()")
-        if attr == "astype" and node.args and self._dtype_is_float64(
-                node.args[0]):
-            self._event("float64-coercion", node.lineno, ".astype(float64)")
 
         # -- keyword-carried events ----------------------------------------
         for keyword in node.keywords:
@@ -612,10 +595,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                         and keyword.value.value is True):
                     self._event("requires-grad", node.lineno,
                                 "requires_grad=True")
-            elif keyword.arg == "dtype":
-                if self._dtype_is_float64(keyword.value):
-                    self._event("float64-coercion", node.lineno,
-                                "dtype=float64")
         self.generic_visit(node)
 
 

@@ -8,6 +8,13 @@ potential relaxation with no extra machinery.
 Config flags expose the paper's design choices for ablation benches:
 ``use_rbf`` (Eq. 2-3 vs raw distances), ``use_cost_distance`` (Eq. 1 vs
 plain Euclidean), and ``heterogeneous`` (typed edge MLPs vs shared).
+
+Every call — one candidate or ``B`` — runs the same batch-major pass:
+node ``n`` of candidate ``b`` is row ``b * N + n``, edges are the
+graph's own receiver-sorted edges offset by candidate, and aggregation
+is one ``np.add.reduceat`` sweep per edge type.  Guidance only
+reweights the shared edge set, so candidates never need a graph of
+their own.
 """
 
 from __future__ import annotations
@@ -18,35 +25,17 @@ import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.model.heads import NUM_METRICS, ReadoutHead
-from repro.nn import (
-    MLP,
-    Module,
-    RBFExpansion,
-    Tensor,
-    concat,
-    segment_sum,
-    segment_sum_csr,
-)
-from repro.perf.cache import (
-    BatchedStatics,
-    ForwardCacheStore,
-    GraphStatics,
-    UnionBlockPlan,
-)
+from repro.nn import MLP, Module, RBFExpansion, Tensor, concat, segment_sum_csr
+from repro.perf.cache import ForwardCacheStore, GraphStatics
 
-#: Default cache-block size of the blocked batched forward: replicas per
-#: union processed before moving to the next block.  Per-candidate cost
-#: of a single big union is flat only while its per-op temporaries stay
-#: cache- and heap-resident: past ~2 OTA-sized replicas the message
-#: arrays cross the allocator's mmap threshold (~128 KiB), so every
-#: temporary costs page faults instead of heap reuse, and they start
-#: spilling L2 well before amortization can compensate.  Blocking runs
-#: the full RBF -> message -> segment-sum pass per 2-replica block
-#: instead, bounding the working set regardless of ``B``; the
-#: throughput sweep in ``benchmarks/bench_serve.py`` is monotone in
-#: ``max_batch`` with this setting (see docs/PERFORMANCE.md, "Forward
-#: blocking").
-DEFAULT_CACHE_BLOCK = 2
+#: Candidates per pass of the batch-major forward.  A B-candidate call
+#: walks its candidates in chunks of this size, each running the full
+#: RBF -> message -> reduceat pass before the next starts, so per-op
+#: temporaries stay small whatever ``B`` is.  Tape-free at B = 8-16 on a
+#: 2-core container: chunks of 1 were ~20% slower per candidate than 2
+#: on OTA1, chunks of 4 within 5% of 2 on OTA1 and OTA3, and chunks of
+#: 8 or more 10-25% slower on OTA3 (96 access points).
+FORWARD_CHUNK = 2
 
 
 @dataclass(frozen=True)
@@ -103,28 +92,18 @@ class _PassingLayer(Module):
         # Register for parameter discovery (dicts are not walked).
         self._block_list = list(dict.fromkeys(self.blocks.values()))
 
-    def forward(
-        self,
-        h: Tensor,
-        edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]],
-        dist_feats: dict[EdgeType, Tensor],
-        num_nodes: int,
-        plan: UnionBlockPlan | None = None,
-    ) -> Tensor:
+    def forward(self, h: Tensor, edges: dict[EdgeType, tuple],
+                dist_feats: dict[EdgeType, Tensor]) -> Tensor:
+        """One residual update: ``h`` plus every edge type's messages
+        summed per receiving node.
+
+        ``edges`` maps each non-empty edge type to its receiver-sorted
+        ``(src, dst, seg_nodes, seg_starts)`` in ``h``'s row indexing.
+        """
         aggregated = None
-        for edge_type, (src, dst) in edge_cache.items():
-            if len(src) == 0:
-                continue
+        for edge_type, (src, dst, nodes, starts) in edges.items():
             messages = self.blocks[edge_type](h, src, dist_feats[edge_type])
-            if plan is not None:
-                # Edges (and therefore message rows) are dst-sorted in a
-                # block plan: aggregate with one contiguous reduceat
-                # sweep instead of a bincount scatter.
-                summed = segment_sum_csr(
-                    messages, plan.seg_nodes[edge_type],
-                    plan.seg_starts[edge_type], dst, num_nodes)
-            else:
-                summed = segment_sum(messages, dst, num_nodes)
+            summed = segment_sum_csr(messages, nodes, starts, dst, len(h))
             aggregated = summed if aggregated is None else aggregated + summed
         if aggregated is None:
             return h
@@ -150,36 +129,6 @@ class Gnn3d(Module):
         self.head = ReadoutHead(cfg.hidden, rng, NUM_METRICS)
         self.cache = ForwardCacheStore()
 
-    # -- distance machinery ------------------------------------------------------
-
-    def _edge_distances(
-        self, guidance_all: Tensor, statics: GraphStatics | BatchedStatics
-    ) -> dict[EdgeType, Tensor]:
-        """Cost-aware distance features per edge type (Eq. 1-3).
-
-        ``C_k`` of the *receiving* node modulates the (h, w, z) decomposition
-        of the edge vector; module receivers use neutral guidance.  The
-        decomposition itself (``|pos[dst] - pos[src]|``) is
-        guidance-independent and comes precomputed from ``statics``.
-        """
-        feats: dict[EdgeType, Tensor] = {}
-        dtype = guidance_all.data.dtype
-        for edge_type, (src, dst) in statics.edge_cache.items():
-            if len(src) == 0:
-                feats[edge_type] = Tensor(np.zeros((0, 1), dtype=dtype))
-                continue
-            if self.config.use_cost_distance:
-                c_recv = guidance_all.gather_rows(dst)
-                weighted = c_recv * Tensor(statics.deltas[edge_type])
-                dist = ((weighted * weighted).sum(axis=1) + 1e-6).sqrt()
-            else:
-                dist = Tensor(statics.euclidean(edge_type))
-            if self.config.use_rbf:
-                feats[edge_type] = self.rbf(dist)
-            else:
-                feats[edge_type] = dist.reshape(-1, 1)
-        return feats
-
     # -- forward -----------------------------------------------------------------------
 
     def forward(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
@@ -190,8 +139,7 @@ class Gnn3d(Module):
             guidance: (num_aps, 3) tensor of per-AP guidance vectors, in the
                 order of ``graph.ap_keys``.  Mark ``requires_grad`` to get
                 ``dV/dC`` after ``backward()``.  A (B, num_aps, 3) tensor
-                evaluates ``B`` guidance candidates in one batched pass
-                over a disjoint union of ``B`` graph replicas.
+                is handed to :meth:`forward_batch`.
 
         Returns:
             Length-5 tensor of normalized metric predictions (see
@@ -204,115 +152,101 @@ class Gnn3d(Module):
             raise ValueError(
                 f"guidance shape {guidance.shape} != ({graph.num_aps}, 3)"
             )
-        dtype = guidance.data.dtype
-        statics = self.cache.statics(graph).as_dtype(dtype)
-        num_modules = graph.num_modules
-        neutral = Tensor(np.ones((num_modules, 3), dtype=dtype))
-        guidance_all = (concat([guidance, neutral], axis=0)
-                        if num_modules else guidance)
-        dist_feats = self._edge_distances(guidance_all, statics)
+        batched = guidance.reshape(1, graph.num_aps, 3)
+        return self._forward(graph, batched).reshape(-1)
 
-        h_ap = self.ap_embed(self._features(graph.ap_features, dtype))
-        h_mod = self.module_embed(self._features(graph.module_features, dtype))
-        h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
+    def forward_batch(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
+        """Evaluate ``B`` guidance candidates; returns a (B, 5) tensor.
 
-        for layer in self.layers:
-            h = layer(h, statics.edge_cache, dist_feats, graph.num_nodes)
-        return self.head(h)
-
-    def forward_batch(self, graph: HeteroGraph, guidance: Tensor,
-                      block: int | None = None) -> Tensor:
-        """Evaluate ``B`` guidance candidates with cache blocking.
-
-        The candidates are processed in blocks of at most ``block``
-        (default :data:`DEFAULT_CACHE_BLOCK`) replicas; each block runs
-        the complete fused RBF -> message -> segment-sum pass over its
-        own CSR-contiguous union
-        (:meth:`repro.perf.cache.ForwardCacheStore.union_plan`) before
-        the next block starts, so the per-block working set stays
-        L2-resident regardless of ``B``.  Gradients flow to ``guidance``
-        exactly as in :meth:`forward_union` — block outputs concatenate
-        and block backward passes scatter into the corresponding
-        guidance slices.
-
-        Parity contract: float64 results match the unbatched forward to
-        <1e-10 per row (CSR reordering changes summation order, so not
-        bitwise); the float32 scoring path is gated at
-        :data:`repro.serve.registry.FLOAT32_PARITY_RTOL`.
+        Row ``b`` is the same pass :meth:`forward` runs on candidate
+        ``b`` alone, so it agrees with it to summation order (<1e-10);
+        gradients reach every guidance slice.
         """
-        batch = guidance.shape[0]
+        batch = guidance.shape[0] if guidance.ndim else 0
+        if batch < 1:
+            raise ValueError(f"need at least one guidance candidate, "
+                             f"got shape {guidance.shape}")
         if guidance.shape != (batch, graph.num_aps, 3):
             raise ValueError(
                 f"guidance shape {guidance.shape} != "
                 f"({batch}, {graph.num_aps}, 3)"
             )
-        if block is None:
-            block = DEFAULT_CACHE_BLOCK
-        plan = self.cache.union_plan(graph, batch, block)
+        return self._forward(graph, guidance)
+
+    def _forward(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
+        """The batch-major pass over (B, num_aps, 3) guidance, in chunks
+        of :data:`FORWARD_CHUNK` candidates."""
+        statics = self.cache.statics(graph)
+        # Node embeddings before message passing do not see guidance:
+        # computed once per call, shared by every chunk.
+        h_static = self.ap_embed(Tensor(graph.ap_features))
+        if graph.num_modules:
+            h_static = concat(
+                [h_static, self.module_embed(Tensor(graph.module_features))],
+                axis=0)
+        batch = guidance.shape[0]
         outs = []
-        for (start, stop), block_plan in zip(plan.slices, plan.plans):
-            sub = (guidance if stop - start == batch
-                   else guidance[start:stop])
-            outs.append(self._forward_union(graph, sub, block_plan))
-        if len(outs) == 1:
-            return outs[0]
-        return concat(outs, axis=0)
+        for start in range(0, batch, FORWARD_CHUNK):
+            stop = min(start + FORWARD_CHUNK, batch)
+            chunk = guidance if stop - start == batch else guidance[start:stop]
+            outs.append(self._forward_chunk(graph, statics, h_static, chunk))
+        return outs[0] if len(outs) == 1 else concat(outs, axis=0)
 
-    def forward_union(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
-        """One forward over a single union of all ``B`` replicas at once.
+    def _forward_chunk(self, graph: HeteroGraph, statics: GraphStatics,
+                       h_static: Tensor, guidance: Tensor) -> Tensor:
+        """Message passing and readout for a few stacked candidates."""
+        count = guidance.shape[0]
+        num_nodes = graph.num_nodes
+        offsets = np.arange(count, dtype=np.int64)[:, None]
+        edges: dict[EdgeType, tuple] = {}
+        for edge_type, (src, dst) in statics.edge_cache.items():
+            num_edges = len(src)
+            if num_edges == 0:
+                continue
+            nodes = statics.seg_nodes[edge_type]
+            starts = statics.seg_starts[edge_type]
+            if count > 1:
+                src = (src + offsets * num_nodes).ravel()
+                dst = (dst + offsets * num_nodes).ravel()
+                nodes = (nodes + offsets * num_nodes).ravel()
+                starts = (starts + offsets * num_edges).ravel()
+            edges[edge_type] = (src, dst, nodes, starts)
 
-        The pre-blocking reference path: no cache blocking, edges in
-        plan (unsorted) order, bincount aggregation — bit-identical to
-        what ``forward`` produced for 3-D guidance before blocking
-        existed.  Kept as the parity baseline for the blocked path and
-        for working sets known to fit cache.
-        """
-        batch = guidance.shape[0]
-        if guidance.shape != (batch, graph.num_aps, 3):
-            raise ValueError(
-                f"guidance shape {guidance.shape} != "
-                f"({batch}, {graph.num_aps}, 3)"
-            )
-        return self._forward_union(graph, guidance,
-                                   self.cache.batched(graph, batch))
+        if graph.num_modules:
+            neutral = Tensor(np.ones((count, graph.num_modules, 3)))
+            guidance = concat([guidance, neutral], axis=1)
+        dist_feats = self._edge_distances(
+            guidance.reshape(count * num_nodes, 3), statics, edges, count)
 
-    def _forward_union(self, graph: HeteroGraph, guidance: Tensor,
-                       plan: BatchedStatics) -> Tensor:
-        """Forward ``plan.batch`` replicas over one block-diagonal union.
-
-        The union keeps all APs first (replica-major), mirroring the
-        unbatched ``concat([aps, modules])`` node layout, so the flattened
-        ``(b * num_aps, 3)`` guidance stack indexes it directly.  Replicas
-        share parameters but exchange no messages (no cross-replica
-        edges), so row ``b`` of the output equals the unbatched forward of
-        candidate ``b`` up to floating-point summation order.  A
-        :class:`UnionBlockPlan` routes aggregation through the contiguous
-        CSR reduction; a plain :class:`BatchedStatics` keeps the bincount
-        path.
-        """
-        batch = plan.batch
-        dtype = guidance.data.dtype
-        plan = plan.as_dtype(dtype)
-        block_plan = plan if isinstance(plan, UnionBlockPlan) else None
-        flat = guidance.reshape(batch * graph.num_aps, 3)
-        guidance_all = (
-            concat([flat, Tensor(plan.neutral_guidance)], axis=0)
-            if graph.num_modules else flat
-        )
-        dist_feats = self._edge_distances(guidance_all, plan)
-
-        h_ap = self.ap_embed(Tensor(plan.ap_features))
-        h_mod = self.module_embed(Tensor(plan.module_features))
-        h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
-
+        h = h_static if count == 1 else concat([h_static] * count, axis=0)
         for layer in self.layers:
-            h = layer(h, plan.edge_cache, dist_feats, plan.num_nodes,
-                      plan=block_plan)
-        return self.head(h, graph_ids=plan.graph_ids, num_graphs=batch)
+            h = layer(h, edges, dist_feats)
+        return self.head(h, num_graphs=count)
 
-    @staticmethod
-    def _features(features: np.ndarray, dtype: np.dtype) -> Tensor:
-        """Wrap static node features, cast to the guidance dtype."""
-        if features.dtype != dtype:
-            features = features.astype(dtype)
-        return Tensor(features)
+    def _edge_distances(self, guidance_all: Tensor, statics: GraphStatics,
+                        edges: dict[EdgeType, tuple],
+                        count: int) -> dict[EdgeType, Tensor]:
+        """Cost-aware distance features per edge type (Eq. 1-3).
+
+        ``C_k`` of the *receiving* node modulates the (h, w, z) decomposition
+        of the edge vector; module receivers use neutral guidance.  The
+        decomposition itself (``|pos[dst] - pos[src]|``) is
+        guidance-independent and comes precomputed from ``statics``,
+        shared by all ``count`` candidates through broadcasting.
+        """
+        feats: dict[EdgeType, Tensor] = {}
+        for edge_type, (_src, dst, _nodes, _starts) in edges.items():
+            if self.config.use_cost_distance:
+                deltas = statics.deltas[edge_type]
+                c_recv = guidance_all.gather_rows(dst).reshape(
+                    count, len(deltas), 3)
+                weighted = c_recv * Tensor(deltas)
+                dist = ((weighted * weighted).sum(axis=2) + 1e-6).sqrt()
+                dist = dist.reshape(-1)
+            else:
+                dist = Tensor(np.tile(statics.euclidean(edge_type), count))
+            if self.config.use_rbf:
+                feats[edge_type] = self.rbf(dist)
+            else:
+                feats[edge_type] = dist.reshape(-1, 1)
+        return feats

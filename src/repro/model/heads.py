@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import MLP, Module, Tensor, segment_sum
+from repro.nn import MLP, Module, Tensor
 
 #: Number of predicted metrics (offset, CMRR, UGB, gain, noise).
 NUM_METRICS = 5
@@ -26,34 +26,20 @@ class ReadoutHead(Module):
         self.fc = MLP([hidden, hidden, num_metrics], rng)
         self.num_metrics = num_metrics
 
-    def forward(
-        self,
-        node_embeddings: Tensor,
-        graph_ids: np.ndarray | None = None,
-        num_graphs: int = 1,
-    ) -> Tensor:
+    def forward(self, node_embeddings: Tensor, num_graphs: int = 1) -> Tensor:
         """Predict normalized metrics from final node embeddings.
 
         Args:
-            node_embeddings: (num_nodes, hidden) tensor after L layers of
-                message passing.  For a batched (disjoint-union) forward
-                this holds ``num_graphs`` replicas' nodes.
-            graph_ids: per-node graph id for batched pooling; ``None``
-                pools all nodes into a single graph.
-            num_graphs: number of graphs in the union when ``graph_ids``
-                is given.
+            node_embeddings: (num_graphs * num_nodes, hidden) tensor after
+                L layers of message passing, batch-major: the nodes of
+                graph ``b`` are rows ``b * num_nodes`` onward.
+            num_graphs: number of graphs stacked in ``node_embeddings``.
 
         Returns:
-            Length-``num_metrics`` tensor of predictions, or a
-            ``(num_graphs, num_metrics)`` tensor when ``graph_ids`` is
-            given.
+            A ``(num_graphs, num_metrics)`` tensor of predictions; each
+            graph's readout is the mean of its own nodes.
         """
         per_node = self.node_mlp(node_embeddings)
-        if graph_ids is None:
-            pooled = per_node.sum(axis=0) * (1.0 / max(len(node_embeddings), 1))
-            return self.fc(pooled.reshape(1, -1)).reshape(-1)
-        nodes_per_graph = len(node_embeddings) // max(num_graphs, 1)
-        pooled = segment_sum(per_node, graph_ids, num_graphs) * (
-            1.0 / max(nodes_per_graph, 1)
-        )
+        pooled = per_node.reshape(num_graphs, -1, per_node.shape[1]).mean(
+            axis=1)
         return self.fc(pooled)

@@ -9,7 +9,6 @@ guidance tensor ``requires_grad``.
 
 from repro.nn.functional import (
     concat,
-    segment_sum,
     segment_sum_csr,
     stack,
     where_positive,
@@ -25,7 +24,6 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "concat",
-    "segment_sum",
     "segment_sum_csr",
     "stack",
     "where_positive",

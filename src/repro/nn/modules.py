@@ -58,19 +58,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def to_dtype(self, dtype) -> "Module":
-        """Cast every parameter to ``dtype`` in place; clears gradients.
-
-        The reduced-precision scoring path casts a loaded model to
-        float32 once at registration time; training and relaxation stay
-        float64 (serialization always persists float64 weights).
-        """
-        dtype = np.dtype(dtype)
-        for param in self.parameters():
-            param.data = param.data.astype(dtype, copy=False)
-            param.grad = None
-        return self
-
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 

@@ -42,8 +42,5 @@ class RBFExpansion(Module):
         d = as_tensor(distances)
         if d.ndim != 1:
             raise ValueError(f"expected 1-D distances, got shape {d.shape}")
-        # Match the input dtype so the float32 scoring path is not
-        # promoted back to float64 by the (float64) center bank.
-        centers = self.centers.astype(d.data.dtype, copy=False)
-        diff = d.reshape(-1, 1) - Tensor(centers.reshape(1, -1))
+        diff = d.reshape(-1, 1) - Tensor(self.centers.reshape(1, -1))
         return ((diff * diff) * (-self.gamma)).exp()

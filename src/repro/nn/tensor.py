@@ -23,10 +23,10 @@ class no_grad:
     Inside the context every new :class:`Tensor` is created grad-free:
     no backward closure, no parent references.  Inference paths (the
     scoring service, ``predicted_metrics``) run under it so a forward
-    never retains its intermediates — without it, cache-blocked batched
-    forwards keep every finished block's activation graph alive (the
-    model's parameters require grad), growing the working set with the
-    batch and defeating the L2 blocking.  Reentrant and exception-safe;
+    never retains its intermediates — without it, a batched forward
+    keeps every finished chunk's activation graph alive (the model's
+    parameters require grad), growing the working set with the batch.
+    Reentrant and exception-safe;
     tensors created *outside* keep their tapes.
     """
 
@@ -60,10 +60,7 @@ class Tensor:
     """A differentiable array.
 
     Attributes:
-        data: the underlying numpy array — float64 by default; a
-            float32 array passes through unconverted (the opt-in
-            reduced-precision scoring path threads its dtype from the
-            guidance input through every op).
+        data: the underlying float64 numpy array.
         grad: accumulated gradient (same shape as data), or None.
         requires_grad: whether this tensor participates in autograd.
     """
@@ -77,14 +74,7 @@ class Tensor:
         parents: tuple["Tensor", ...] = (),
         backward: Callable[[np.ndarray], None] | None = None,
     ) -> None:
-        arr = np.asarray(data)
-        if arr.dtype != np.float32:
-            # The documented float64 default; float32 inputs pass
-            # through untouched, so the float32 serving path never
-            # takes this branch.
-            # repro-lint: disable-next-line=PRE001 -- guarded float64 default
-            arr = np.asarray(arr, dtype=np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = _GRAD_ENABLED and (
             requires_grad or any(p.requires_grad for p in parents))
@@ -164,7 +154,7 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other, self.data.dtype)
+        other = as_tensor(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -184,13 +174,13 @@ class Tensor:
         return Tensor(-self.data, parents=(self,), backward=backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other, self.data.dtype))
+        return self + (-as_tensor(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other, self.data.dtype) + (-self)
+        return as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other, self.data.dtype)
+        other = as_tensor(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -204,7 +194,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other, self.data.dtype)
+        other = as_tensor(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -218,7 +208,7 @@ class Tensor:
         return Tensor(out_data, parents=(self, other), backward=backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other, self.data.dtype) / self
+        return as_tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -408,21 +398,8 @@ class Tensor:
         return Tensor(out_data, parents=(self,), backward=backward)
 
 
-def as_tensor(value, dtype=None) -> Tensor:
-    """Wrap a value as a (non-grad) Tensor; pass tensors through.
-
-    ``dtype`` is the *operand* dtype hint the binary ops supply: a
-    scalar (0-d) operand adopts it so that e.g. ``float32_tensor * 0.5``
-    stays float32 instead of promoting through a float64 scalar wrap.
-    Array operands keep numpy promotion semantics unchanged.
-    """
+def as_tensor(value) -> Tensor:
+    """Wrap a value as a (non-grad) Tensor; pass tensors through."""
     if isinstance(value, Tensor):
         return value
-    arr = np.asarray(value)
-    if arr.dtype != np.float32:
-        # Same guarded float64 default as Tensor.__init__.
-        # repro-lint: disable-next-line=PRE001 -- float32 stays float32
-        arr = np.asarray(arr, dtype=np.float64)
-    if dtype is not None and arr.ndim == 0 and arr.dtype != dtype:
-        arr = arr.astype(dtype)
-    return Tensor(arr)
+    return Tensor(value)

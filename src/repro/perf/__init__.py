@@ -5,17 +5,15 @@ hardware allows" north star:
 
 * :mod:`repro.perf.timing` — named stage timers and the machine-readable
   ``BENCH_perf.json`` record that tracks the performance trajectory;
-* :mod:`repro.perf.cache` — graph-invariant forward-pass caches and the
-  disjoint-union batching plan behind the batched 3DGNN forward;
+* :mod:`repro.perf.cache` — graph-invariant forward-pass caches: the
+  receiver-sorted edge geometry every 3DGNN forward aggregates over;
 * :mod:`repro.perf.parallel` — the process-pool executor for database
   construction (imported lazily: it pulls in the whole pipeline).
 """
 
 from repro.perf.cache import (
-    BatchedStatics,
     ForwardCacheStore,
     GraphStatics,
-    build_batched,
     build_statics,
     graph_fingerprint,
 )
@@ -39,10 +37,8 @@ __all__ = [
     "compare_to_baseline",
     "load_bench_json",
     "write_bench_json",
-    "BatchedStatics",
     "ForwardCacheStore",
     "GraphStatics",
-    "build_batched",
     "build_statics",
     "graph_fingerprint",
     "ParallelConfig",

@@ -10,12 +10,9 @@ evaluation; everything in that pass that does not depend on the guidance
   ``|pos[dst] - pos[src]|`` decomposition that guidance merely reweights;
 * the plain Euclidean distances used when ``use_cost_distance`` is off
   (fully static, so the whole Eq. 2-3 input is cacheable);
-* the **disjoint-union batching plan**: to evaluate ``B`` guidance
-  candidates in one forward, the graph is replicated ``B`` times into one
-  block-diagonal graph.  Union node layout: access point ``(b, a)`` maps
-  to ``b * A + a`` and module ``(b, m)`` to ``B * A + b * M + m`` — all
-  APs first, mirroring the unbatched ``concat([aps, modules])`` layout so
-  a ``(B * A, 3)`` guidance stack lines up with union indices directly.
+* the receiver-sorted edge order and its ``np.add.reduceat`` segment
+  offsets, which every forward — one candidate or ``B`` — aggregates
+  over.
 
 Caches are keyed on the *live* graph object (weak reference, so entries
 die with their graph and a recycled ``id()`` can never alias) and
@@ -26,7 +23,6 @@ edge arrays and mutating its geometry in place invalidate its entry.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import weakref
 from dataclasses import dataclass, field
@@ -35,13 +31,8 @@ import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
 
-#: Per-entry cap on cached per-``B`` plans (batched statics, block plans,
-#: union plans each have their own LRU of this size).  Eviction is
-#: strictly LRU — a hit refreshes recency and capacity evicts only the
-#: stalest plan, never the whole plan dict at once (wholesale clearing
-#: made alternation across ``MAX_PLANS_PER_GRAPH + 1`` batch sizes
-#: rebuild every plan on every forward).
-MAX_PLANS_PER_GRAPH = 8
+#: Most live graphs a :class:`ForwardCacheStore` keeps statics for.
+MAX_CACHED_GRAPHS = 4
 
 
 def graph_fingerprint(graph: HeteroGraph) -> tuple[int, int, int, str]:
@@ -74,16 +65,28 @@ def graph_fingerprint(graph: HeteroGraph) -> tuple[int, int, int, str]:
 class GraphStatics:
     """Per-graph static geometry shared by every forward pass.
 
+    Each edge type's directed edges are stably sorted by receiving node
+    once per graph, so message rows come out grouped by receiver and
+    aggregation is one contiguous ``np.add.reduceat`` sweep.  A
+    ``B``-candidate forward offsets these index arrays by candidate on
+    the fly (batch-major rows, see :mod:`repro.model.gnn3d`).
+
     Attributes:
-        edge_cache: directed (src, dst) index arrays per edge type.
+        edge_cache: receiver-sorted directed (src, dst) index arrays per
+            edge type.
         deltas: per edge type, the (E, 3) absolute (h, w, z) edge-vector
-            decomposition of Eq. 1 — guidance-independent.
+            decomposition of Eq. 1 in the same order — guidance-independent.
+        seg_nodes: per edge type, the distinct receiving nodes in
+            ascending order (the reduction's output rows).
+        seg_starts: per edge type, the offsets of each receiver's first
+            edge (the ``np.add.reduceat`` boundaries).
     """
 
     edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]]
     deltas: dict[EdgeType, np.ndarray]
+    seg_nodes: dict[EdgeType, np.ndarray]
+    seg_starts: dict[EdgeType, np.ndarray]
     _euclidean: dict[EdgeType, np.ndarray] = field(default_factory=dict)
-    _casts: dict[str, "GraphStatics"] = field(default_factory=dict, repr=False)
 
     def euclidean(self, edge_type: EdgeType) -> np.ndarray:
         """Static Euclidean edge lengths (the Eq. 1 ablation path)."""
@@ -94,273 +97,56 @@ class GraphStatics:
             self._euclidean[edge_type] = dist
         return dist
 
-    def as_dtype(self, dtype) -> "GraphStatics":
-        """This statics object with float arrays cast to ``dtype``.
-
-        ``float64`` returns ``self``; other dtypes return a cached cast
-        copy (index arrays are shared — only the geometry is cast), so
-        the reduced-precision scoring path pays the cast once per plan,
-        not once per forward.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == np.float64:
-            return self
-        cast = self._casts.get(dtype.name)
-        if cast is None:
-            cast = dataclasses.replace(
-                self,
-                deltas={et: d.astype(dtype) for et, d in self.deltas.items()},
-                _euclidean={},
-                _casts={},
-            )
-            self._casts[dtype.name] = cast
-        return cast
-
-
-@dataclass
-class BatchedStatics:
-    """The disjoint-union replication plan for a fixed batch size ``B``.
-
-    Attributes:
-        batch: number of replicas ``B``.
-        num_nodes: total union nodes, ``B * (A + M)``.
-        edge_cache: per edge type, (src, dst) arrays in union indexing,
-            length ``B * E``.
-        deltas: per edge type, the statics' deltas tiled ``B`` times.
-        ap_features: (B * A, F) tiled static AP features.
-        module_features: (B * M, F) tiled static module features.
-        graph_ids: (B * N,) candidate id per union node, for per-candidate
-            readout pooling.
-        neutral_guidance: (B * M, 3) ones, the module receivers' guidance.
-    """
-
-    batch: int
-    num_nodes: int
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]]
-    deltas: dict[EdgeType, np.ndarray]
-    ap_features: np.ndarray
-    module_features: np.ndarray
-    graph_ids: np.ndarray
-    neutral_guidance: np.ndarray
-    _euclidean: dict[EdgeType, np.ndarray] = field(default_factory=dict)
-    _casts: dict[str, "BatchedStatics"] = field(default_factory=dict,
-                                                repr=False)
-
-    def euclidean(self, edge_type: EdgeType) -> np.ndarray:
-        """Static Euclidean edge lengths in the union (tiled)."""
-        dist = self._euclidean.get(edge_type)
-        if dist is None:
-            d = self.deltas[edge_type]
-            dist = np.sqrt((d * d).sum(axis=1) + 1e-6)
-            self._euclidean[edge_type] = dist
-        return dist
-
-    def as_dtype(self, dtype) -> "BatchedStatics":
-        """This plan with float arrays cast to ``dtype`` (cached).
-
-        ``float64`` returns ``self``.  Index arrays (edge indices,
-        graph ids, CSR segment metadata) are dtype-independent and
-        shared with the original plan.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == np.float64:
-            return self
-        cast = self._casts.get(dtype.name)
-        if cast is None:
-            cast = dataclasses.replace(
-                self,
-                deltas={et: d.astype(dtype) for et, d in self.deltas.items()},
-                ap_features=self.ap_features.astype(dtype),
-                module_features=self.module_features.astype(dtype),
-                neutral_guidance=self.neutral_guidance.astype(dtype),
-                _euclidean={},
-                _casts={},
-            )
-            self._casts[dtype.name] = cast
-        return cast
-
 
 def build_statics(graph: HeteroGraph) -> GraphStatics:
-    """Hoist the guidance-independent per-edge geometry of one graph."""
+    """Hoist the guidance-independent per-edge geometry of one graph.
+
+    The stable receiver sort keeps same-receiver edges in their
+    original relative order; it still changes the summation order
+    against an unsorted scatter, which is why batched and unbatched
+    forwards are compared at 1e-10, not bitwise, against such oracles.
+    """
     positions = graph.positions
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    deltas: dict[EdgeType, np.ndarray] = {}
-    for edge_type in EdgeType:
-        src, dst = graph.directed_edges(edge_type)
-        edge_cache[edge_type] = (src, dst)
-        if len(src):
-            deltas[edge_type] = np.abs(positions[dst] - positions[src])
-        else:
-            deltas[edge_type] = np.zeros((0, 3))
-    return GraphStatics(edge_cache=edge_cache, deltas=deltas)
-
-
-def _union_indices(idx: np.ndarray, replica: int, num_aps: int,
-                   num_modules: int, batch: int) -> np.ndarray:
-    """Map unbatched node indices into replica ``replica`` of the union."""
-    return np.where(
-        idx < num_aps,
-        replica * num_aps + idx,
-        batch * num_aps + replica * num_modules + (idx - num_aps),
-    )
-
-
-def build_batched(graph: HeteroGraph, statics: GraphStatics,
-                  batch: int) -> BatchedStatics:
-    """Replicate a graph ``batch`` times into one block-diagonal union."""
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    num_aps, num_modules = graph.num_aps, graph.num_modules
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    deltas: dict[EdgeType, np.ndarray] = {}
-    for edge_type, (src, dst) in statics.edge_cache.items():
-        if len(src) == 0:
-            edge_cache[edge_type] = (src, dst)
-            deltas[edge_type] = statics.deltas[edge_type]
-            continue
-        src_u = np.concatenate([
-            _union_indices(src, b, num_aps, num_modules, batch)
-            for b in range(batch)
-        ])
-        dst_u = np.concatenate([
-            _union_indices(dst, b, num_aps, num_modules, batch)
-            for b in range(batch)
-        ])
-        edge_cache[edge_type] = (src_u.astype(np.int64),
-                                 dst_u.astype(np.int64))
-        deltas[edge_type] = np.tile(statics.deltas[edge_type], (batch, 1))
-    graph_ids = np.concatenate([
-        np.repeat(np.arange(batch, dtype=np.int64), num_aps),
-        np.repeat(np.arange(batch, dtype=np.int64), num_modules),
-    ])
-    return BatchedStatics(
-        batch=batch,
-        num_nodes=batch * graph.num_nodes,
-        edge_cache=edge_cache,
-        deltas=deltas,
-        ap_features=np.tile(graph.ap_features, (batch, 1)),
-        module_features=np.tile(graph.module_features, (batch, 1)),
-        graph_ids=graph_ids,
-        neutral_guidance=np.ones((batch * num_modules, 3)),
-    )
-
-
-@dataclass
-class UnionBlockPlan(BatchedStatics):
-    """A :class:`BatchedStatics` in CSR-contiguous (dst-sorted) order.
-
-    The cache-block unit of the blocked forward: edge indices, deltas,
-    and therefore the message rows they produce are laid out sorted by
-    receiving node, so the segment reduction is one contiguous
-    ``np.add.reduceat`` sweep per edge type instead of a per-column
-    bincount scatter.
-
-    Attributes:
-        seg_nodes: per edge type, the distinct receiving nodes in
-            ascending order (the reduction's output rows).
-        seg_starts: per edge type, the CSR row offsets into the sorted
-            edge arrays (``np.add.reduceat`` boundaries).
-    """
-
-    seg_nodes: dict[EdgeType, np.ndarray] = field(default_factory=dict)
-    seg_starts: dict[EdgeType, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class UnionPlan:
-    """The full blocked decomposition of one ``(graph, B)`` forward.
-
-    ``B`` replicas are processed as ``ceil(B / block)`` cache blocks of
-    at most ``block`` replicas each; every block runs the complete
-    RBF -> message -> segment-sum pass over its own small union before
-    the next block starts, so the working set per block is bounded by
-    ``block`` replicas regardless of ``B``.  Full blocks share a single
-    :class:`UnionBlockPlan` object (their unions are congruent).
-
-    Attributes:
-        batch: total replicas ``B``.
-        block: cache-block size the plan was built for.
-        slices: per block, the ``(start, stop)`` replica range.
-        plans: per block, its :class:`UnionBlockPlan` (aligned with
-            ``slices``).
-    """
-
-    batch: int
-    block: int
-    slices: tuple[tuple[int, int], ...]
-    plans: tuple[UnionBlockPlan, ...]
-
-
-def build_block_plan(graph: HeteroGraph, statics: GraphStatics,
-                     batch: int) -> UnionBlockPlan:
-    """Build one CSR-contiguous cache block of ``batch`` replicas.
-
-    Reorders the union's directed edges by receiving node (stable sort,
-    so same-receiver edges keep their relative order) and precomputes
-    the reduceat segment metadata.  Reordering changes the summation
-    order of same-receiver messages, which is why the blocked forward's
-    parity contract is <1e-10, not bitwise.
-    """
-    base = build_batched(graph, statics, batch)
     edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
     deltas: dict[EdgeType, np.ndarray] = {}
     seg_nodes: dict[EdgeType, np.ndarray] = {}
     seg_starts: dict[EdgeType, np.ndarray] = {}
-    for edge_type, (src, dst) in base.edge_cache.items():
-        if len(src) == 0:
-            edge_cache[edge_type] = (src, dst)
-            deltas[edge_type] = base.deltas[edge_type]
-            seg_nodes[edge_type] = np.zeros(0, dtype=np.int64)
-            seg_starts[edge_type] = np.zeros(0, dtype=np.int64)
-            continue
+    for edge_type in EdgeType:
+        src, dst = graph.directed_edges(edge_type)
         order = np.argsort(dst, kind="stable")
-        dst_sorted = np.ascontiguousarray(dst[order])
-        nodes, starts = np.unique(dst_sorted, return_index=True)
-        edge_cache[edge_type] = (np.ascontiguousarray(src[order]), dst_sorted)
-        deltas[edge_type] = np.ascontiguousarray(
-            base.deltas[edge_type][order])
+        src = np.ascontiguousarray(src[order], dtype=np.int64)
+        dst = np.ascontiguousarray(dst[order], dtype=np.int64)
+        nodes, starts = np.unique(dst, return_index=True)
+        edge_cache[edge_type] = (src, dst)
+        deltas[edge_type] = np.abs(positions[dst] - positions[src])
         seg_nodes[edge_type] = nodes.astype(np.int64)
         seg_starts[edge_type] = starts.astype(np.int64)
-    return UnionBlockPlan(
-        batch=base.batch,
-        num_nodes=base.num_nodes,
-        edge_cache=edge_cache,
-        deltas=deltas,
-        ap_features=base.ap_features,
-        module_features=base.module_features,
-        graph_ids=base.graph_ids,
-        neutral_guidance=base.neutral_guidance,
-        seg_nodes=seg_nodes,
-        seg_starts=seg_starts,
-    )
+    return GraphStatics(edge_cache=edge_cache, deltas=deltas,
+                        seg_nodes=seg_nodes, seg_starts=seg_starts)
 
 
 class _Entry:
-    __slots__ = ("ref", "fingerprint", "statics", "batched", "blocks",
-                 "unions")
+    __slots__ = ("ref", "fingerprint", "statics")
 
     def __init__(self, graph: HeteroGraph) -> None:
         self.ref = weakref.ref(graph)
         self.fingerprint = graph_fingerprint(graph)
         self.statics: GraphStatics | None = None
-        self.batched: dict[int, BatchedStatics] = {}
-        self.blocks: dict[int, UnionBlockPlan] = {}
-        self.unions: dict[tuple[int, int], UnionPlan] = {}
 
 
 class ForwardCacheStore:
-    """Per-model cache of :class:`GraphStatics` / :class:`BatchedStatics`.
+    """Per-model cache of :class:`GraphStatics`, one entry per live graph.
 
     A model is typically used with one graph (plus occasionally a
-    validation graph), so the store keeps at most ``max_graphs`` live
-    entries, evicted in LRU order: a hit refreshes the entry's recency,
-    and capacity evicts only the stalest entries — never the entry being
-    fetched, and never the whole store at once (wholesale clearing made
-    alternation across ``max_graphs + 1`` graphs rebuild everything).
+    validation graph), so the store keeps at most
+    :data:`MAX_CACHED_GRAPHS` live entries, evicted in LRU order: a hit
+    refreshes the entry's recency, and capacity evicts only the stalest
+    entries — never the entry being fetched, and never the whole store
+    at once (wholesale clearing made alternation across one graph more
+    than capacity rebuild everything).
     """
 
-    def __init__(self, max_graphs: int = 4) -> None:
-        self.max_graphs = max_graphs
+    def __init__(self) -> None:
         self._entries: dict[int, _Entry] = {}
 
     def _entry(self, graph: HeteroGraph) -> _Entry:
@@ -377,95 +163,14 @@ class ForwardCacheStore:
         for dead in [k for k, e in self._entries.items()
                      if e.ref() is None]:
             del self._entries[dead]
-        while len(self._entries) >= self.max_graphs:
+        while len(self._entries) >= MAX_CACHED_GRAPHS:
             del self._entries[next(iter(self._entries))]
         entry = _Entry(graph)
         self._entries[key] = entry
         return entry
 
-    # Per-entry plan dicts (batched / blocks / unions) are LRU caches:
-    # a hit moves the plan to the back (most recent), an insert at
-    # capacity evicts exactly the front (least recent) plan.  Dicts
-    # preserve insertion order, so recency is the dict order itself.
-
-    @staticmethod
-    def _plan_hit(plans: dict, key):
-        plan = plans.pop(key, None)
-        if plan is not None:
-            plans[key] = plan
-        return plan
-
-    @staticmethod
-    def _plan_put(plans: dict, key, plan) -> None:
-        while len(plans) >= MAX_PLANS_PER_GRAPH:
-            del plans[next(iter(plans))]
-        plans[key] = plan
-
-    def _statics(self, entry: _Entry, graph: HeteroGraph) -> GraphStatics:
+    def statics(self, graph: HeteroGraph) -> GraphStatics:
+        entry = self._entry(graph)
         if entry.statics is None:
             entry.statics = build_statics(graph)
         return entry.statics
-
-    def statics(self, graph: HeteroGraph) -> GraphStatics:
-        return self._statics(self._entry(graph), graph)
-
-    def batched(self, graph: HeteroGraph, batch: int) -> BatchedStatics:
-        """The single-union (no cache blocking) plan for batch ``B``."""
-        entry = self._entry(graph)
-        plan = self._plan_hit(entry.batched, batch)
-        if plan is None:
-            plan = build_batched(graph, self._statics(entry, graph), batch)
-            self._plan_put(entry.batched, batch, plan)
-        return plan
-
-    def _block_plan(self, entry: _Entry, graph: HeteroGraph,
-                    batch: int) -> UnionBlockPlan:
-        plan = self._plan_hit(entry.blocks, batch)
-        if plan is None:
-            plan = build_block_plan(graph, self._statics(entry, graph), batch)
-            self._plan_put(entry.blocks, batch, plan)
-        return plan
-
-    def union_plan(self, graph: HeteroGraph, batch: int,
-                   block: int) -> UnionPlan:
-        """The blocked decomposition of a ``B``-candidate forward.
-
-        Keyed per ``(graph fingerprint, B, block)``; the underlying
-        cache blocks are additionally shared across batch sizes (a
-        ``B=12`` and a ``B=8`` plan at ``block=4`` reuse the same
-        4-replica :class:`UnionBlockPlan`), so relaxation waves and
-        serving micro-batches of different widths amortize one block
-        build.
-        """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
-        block = min(block, batch)
-        entry = self._entry(graph)
-        key = (batch, block)
-        plan = self._plan_hit(entry.unions, key)
-        if plan is not None:
-            # A union hit is also a use of its cache blocks: refresh
-            # their recency too, so a hot union's blocks are never the
-            # eviction victims when a new block size comes along.
-            for size in dict.fromkeys(p.batch for p in plan.plans):
-                self._plan_hit(entry.blocks, size)
-        if plan is None:
-            full, remainder = divmod(batch, block)
-            sizes = [block] * full + ([remainder] if remainder else [])
-            by_size = {size: self._block_plan(entry, graph, size)
-                       for size in dict.fromkeys(sizes)}
-            slices = []
-            start = 0
-            for size in sizes:
-                slices.append((start, start + size))
-                start += size
-            plan = UnionPlan(
-                batch=batch,
-                block=block,
-                slices=tuple(slices),
-                plans=tuple(by_size[size] for size in sizes),
-            )
-            self._plan_put(entry.unions, key, plan)
-        return plan

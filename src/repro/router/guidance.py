@@ -58,9 +58,6 @@ class RoutingGuidance:
 
     def __post_init__(self) -> None:
         for key, vec in list(self.vectors.items()):
-            # Guidance vectors are float64 domain data by contract;
-            # serve endpoints cast to float32 at the endpoint boundary.
-            # repro-lint: disable-next-line=PRE001 -- float64 domain data
             arr = np.asarray(vec, dtype=float)
             if arr.shape != (NUM_DIRECTIONS,):
                 raise ValueError(
@@ -76,8 +73,6 @@ class RoutingGuidance:
         return vec
 
     def set(self, key: tuple[str, str], vec: np.ndarray) -> None:
-        # Float64 domain data by contract (see __post_init__).
-        # repro-lint: disable-next-line=PRE001 -- float64 domain data
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (NUM_DIRECTIONS,):
             raise ValueError(f"guidance vector must have shape (3,), got {arr.shape}")

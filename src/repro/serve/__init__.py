@@ -1,7 +1,7 @@
 """Inference front-end: serve a trained ``f_theta`` as a scoring oracle.
 
-The relaxation loop evaluates guidance candidates through block-diagonal
-union forwards; this package turns that capability into a persistent,
+The relaxation loop evaluates guidance candidates through batched
+3DGNN forwards; this package turns that capability into a persistent,
 fault-tolerant service (see ``docs/SERVING.md``):
 
 * :class:`ModelRegistry` — versioned on-disk checkpoints (weights +
@@ -32,15 +32,13 @@ from repro.serve.dispatch import (
     Dispatcher,
 )
 from repro.serve.registry import (
-    FLOAT32_PARITY_RTOL,
     ModelManifest,
     ModelRegistry,
     NORMALIZATION_SCHEME,
-    PRECISIONS,
+    PRECISION,
     REGISTRY_SCHEMA_VERSION,
 )
 from repro.serve.service import (
-    DEFAULT_FORWARD_BLOCK,
     ScoreRequest,
     ScoreResult,
     ScoringService,
@@ -51,9 +49,7 @@ from repro.serve.supervisor import Supervisor
 from repro.serve.worker import WorkerContext
 
 __all__ = [
-    "DEFAULT_FORWARD_BLOCK",
-    "FLOAT32_PARITY_RTOL",
-    "PRECISIONS",
+    "PRECISION",
     "CircuitBreaker",
     "ClusterConfig",
     "ClusterResult",

@@ -45,8 +45,6 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.graph.hetero import HeteroGraph
 from repro.model.gnn3d import Gnn3d, Gnn3dConfig
 from repro.nn.serialization import load_state, save_state
@@ -64,19 +62,10 @@ REGISTRY_SCHEMA_VERSION = 1
 #: scored — its outputs would be denormalized with the wrong inverse.
 NORMALIZATION_SCHEME = "performance-metrics.to_normalized.v1"
 
-#: Serving precisions a manifest may declare.  Weights are always
-#: persisted float64; ``precision`` is the *execution* dtype the scoring
-#: service casts to after an integrity-checked load.
-PRECISIONS = ("float64", "float32")
-
-#: Documented parity contract of the float32 scoring path: predictions
-#: agree with the float64 forward to within this relative tolerance
-#: (relative to the O(1) normalized-metric scale — enforced as
-#: ``|f32 - f64| <= FLOAT32_PARITY_RTOL * max(1, |f64|)``).  Measured
-#: error on the built-in OTAs is ~1e-6; the bound leaves two decades of
-#: margin for trained weights.  float64 stays <1e-10 of the unbatched
-#: seed forward (see ``tests/test_forward_blocking.py``).
-FLOAT32_PARITY_RTOL = 1e-4
+#: The one execution dtype the registry serves.  Manifests still carry a
+#: ``precision`` field (and a pre-``precision`` schema-v1 manifest
+#: defaults it), but one that declares anything else fails to load.
+PRECISION = "float64"
 
 #: Manifest fields absent from pre-``precision`` (still schema v1)
 #: manifests; they default rather than fail the missing-field check.
@@ -116,8 +105,7 @@ class ModelManifest:
         fom_weights: raw (unsigned) FoM weights, metric order.
         metric_names: metric reporting order at training time.
         normalization: target-normalization scheme identifier.
-        precision: serving execution dtype (one of :data:`PRECISIONS`);
-            weights are stored float64 and cast on load.
+        precision: serving execution dtype; always :data:`PRECISION`.
     """
 
     name: str
@@ -131,7 +119,7 @@ class ModelManifest:
     fom_weights: tuple
     metric_names: tuple
     normalization: str = NORMALIZATION_SCHEME
-    precision: str = PRECISIONS[0]
+    precision: str = PRECISION
     schema_version: int = REGISTRY_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -274,21 +262,13 @@ class ModelRegistry:
         graph: HeteroGraph,
         c_max: float = 4.0,
         weights: FoMWeights | None = None,
-        precision: str = PRECISIONS[0],
     ) -> ModelManifest:
         """Persist a new version of ``model`` pinned to ``graph``.
 
         The version is assembled in a ``.tmp-`` sibling and renamed into
         place, so a crash at any point leaves :meth:`latest` pointing at
         the previous version — readers never observe a torn checkpoint.
-
-        ``precision`` stamps the serving execution dtype into the
-        manifest; the weights archive itself is always float64.
         """
-        if precision not in PRECISIONS:
-            raise ServeError(
-                f"unknown precision {precision!r} (supported: {PRECISIONS})",
-                stage="serve", details={"precision": precision})
         existing = self.all_versions(name)
         ordinal = (int(existing[-1][1:]) + 1) if existing else 1
         version = f"v{ordinal:04d}"
@@ -313,7 +293,6 @@ class ModelRegistry:
                 fom_weights=tuple(
                     getattr(fom, f.name) for f in dataclasses.fields(fom)),
                 metric_names=tuple(METRIC_NAMES),
-                precision=precision,
             )
             (staging / _MANIFEST_FILE).write_text(
                 json.dumps(manifest.to_dict(), indent=2,
@@ -353,10 +332,10 @@ class ModelRegistry:
                 f"serving scheme {NORMALIZATION_SCHEME!r} — predictions "
                 "would be denormalized with the wrong inverse",
                 stage="serve")
-        if manifest.precision not in PRECISIONS:
+        if manifest.precision != PRECISION:
             raise ServeError(
-                f"manifest declares unknown precision "
-                f"{manifest.precision!r} (supported: {PRECISIONS})",
+                f"manifest declares precision {manifest.precision!r}; "
+                f"only {PRECISION!r} is served",
                 stage="serve",
                 details={"precision": manifest.precision})
         return manifest
@@ -372,10 +351,6 @@ class ModelRegistry:
         With ``graph`` given, the serving graph's content fingerprint
         must equal the manifest's — the checkpoint is only valid for the
         exact geometry it was trained against.
-
-        When the manifest declares ``precision: float32``, the verified
-        float64 weights are cast in place after loading — the returned
-        model scores in the declared execution dtype.
         """
         manifest = self.load_manifest(name, version)
         weights_path = (self._version_dir(manifest.name, manifest.version)
@@ -399,8 +374,6 @@ class ModelRegistry:
                 f"weights archive for {name}@{manifest.version} does not "
                 f"fit the manifest's architecture: {exc}",
                 stage="serve") from exc
-        if manifest.precision == "float32":
-            model.to_dtype(np.float32)
         if graph is not None:
             self.verify_graph(manifest, graph)
         return model, manifest

@@ -3,21 +3,17 @@
 Synchronous API, batched execution: callers submit ``(graph_id, C)``
 requests one at a time (or as a stream) and the service coalesces the
 pending queue into scoring waves of up to ``max_batch`` candidates,
-served by batched model calls of at most ``forward_block`` candidates
-each.  Inside each call, ``Gnn3d.forward_batch`` processes replicas in
-L2-resident cache blocks over the same
-:class:`~repro.perf.cache.ForwardCacheStore`-backed union plans
-potential relaxation uses, so a served score is bit-compatible with a
-direct :class:`~repro.model.gnn3d.Gnn3d` forward.  Endpoints whose
-manifest declares ``precision: float32`` score in float32 under the
-documented parity tolerance
-(:data:`repro.serve.registry.FLOAT32_PARITY_RTOL`).
+each scored by one tape-free model call.  That call is the same
+float64 :class:`~repro.model.gnn3d.Gnn3d` forward potential relaxation
+uses (the model walks the wave in chunks of
+:data:`repro.model.gnn3d.FORWARD_CHUNK` itself), so a served score
+agrees with a direct forward to summation order.
 
 Operational behavior:
 
 * **admission control** — the pending queue is bounded at ``max_queue``;
-  a submit beyond it (or with an unknown graph id / misshaped guidance)
-  is rejected with a typed
+  a submit beyond it (or with an unknown graph id, or guidance that is
+  non-numeric, ragged, misshaped or non-finite) is rejected with a typed
   :class:`~repro.reliability.errors.ServeError` and counted under
   ``serve_requests_total{status=rejected}``;
 * **degradation** — when a graph's content fingerprint changes between
@@ -43,24 +39,13 @@ from repro.nn import Tensor, no_grad
 from repro.obs import NULL_CONTEXT, RunContext
 from repro.perf.cache import graph_fingerprint
 from repro.reliability.errors import ReproError, ServeError
-from repro.serve.registry import PRECISIONS, ModelManifest, ModelRegistry
+from repro.serve.registry import ModelManifest, ModelRegistry
 from repro.simulation.metrics import FoMWeights
 
 #: Exceptions a forward pass can legitimately raise at serve time; they
 #: trigger degradation / per-request failure instead of crashing the
 #: flush (anything else is a programming error and propagates).
 _FORWARD_ERRORS = (ReproError, ValueError, ArithmeticError)
-
-
-#: Most candidates handed to one model call inside a wave.  The model
-#: itself cache-blocks internally (``Gnn3d.forward_batch`` processes
-#: replicas in L2-resident blocks of
-#: :data:`repro.model.gnn3d.DEFAULT_CACHE_BLOCK`), so per-candidate
-#: forward cost stays flat well past the old L2-spill ceiling of 4 —
-#: larger calls now amortize per-call dispatch (fingerprint check, plan
-#: lookup, stacking) over more candidates (see
-#: ``benchmarks/bench_serve.py``'s monotone-throughput sweep).
-DEFAULT_FORWARD_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -73,24 +58,16 @@ class ServeConfig:
             grouping, and metric updates amortize over it).
         max_queue: admission bound on pending (submitted, unflushed)
             requests.
-        forward_block: most candidates per batched model call inside a
-            wave; waves larger than this run several back-to-back
-            calls.  The model cache-blocks internally, so this is a
-            dispatch-granularity knob, not a cache-size one.
     """
 
     max_batch: int = 8
     max_queue: int = 64
-    forward_block: int = DEFAULT_FORWARD_BLOCK
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.forward_block < 1:
-            raise ValueError(
-                f"forward_block must be >= 1, got {self.forward_block}")
 
 
 @dataclass(frozen=True)
@@ -156,13 +133,6 @@ class _Endpoint:
     w_signed: np.ndarray
     fingerprint: tuple
     c_max: float = 4.0
-    precision: str = "float64"
-
-    def cast_guidance(self, guidance: np.ndarray) -> np.ndarray:
-        """Guidance in the endpoint's execution dtype (no-op float64)."""
-        if self.precision == "float32":
-            return guidance.astype(np.float32)
-        return guidance
 
 
 @dataclass
@@ -193,41 +163,24 @@ class ScoringService:
 
     def register(self, graph_id: str, model: Gnn3d, graph: HeteroGraph,
                  weights: FoMWeights | None = None,
-                 c_max: float = 4.0, precision: str = "float64") -> None:
-        """Expose ``model`` for scoring candidates on ``graph``.
-
-        ``precision`` selects the execution dtype (see
-        :data:`repro.serve.registry.PRECISIONS`); ``"float32"`` casts
-        the model's parameters **in place** and serves every request in
-        float32 under the documented parity tolerance
-        (:data:`repro.serve.registry.FLOAT32_PARITY_RTOL`).
-        """
-        if precision not in PRECISIONS:
-            raise ServeError(
-                f"unknown precision {precision!r} (supported: "
-                f"{PRECISIONS})", stage="serve",
-                details={"precision": precision})
-        if precision == "float32":
-            model.to_dtype(np.float32)
+                 c_max: float = 4.0) -> None:
+        """Expose ``model`` for scoring candidates on ``graph``."""
         self._endpoints[graph_id] = _Endpoint(
             model=model, graph=graph,
             w_signed=(weights or FoMWeights()).as_signed_vector(),
-            fingerprint=graph_fingerprint(graph), c_max=c_max,
-            precision=precision)
+            fingerprint=graph_fingerprint(graph), c_max=c_max)
 
     def register_checkpoint(self, graph_id: str, registry: ModelRegistry,
                             name: str, graph: HeteroGraph,
                             version: str | None = None) -> ModelManifest:
         """Load a registry checkpoint (integrity-checked against
-        ``graph``) and register it under ``graph_id``.  The manifest's
-        ``precision`` field selects the execution dtype (the registry
-        load already cast the weights)."""
+        ``graph``) and register it under ``graph_id``."""
         model, manifest = registry.load(name, version, graph=graph)
         self._endpoints[graph_id] = _Endpoint(
             model=model, graph=graph,
             w_signed=manifest.signed_fom_vector(),
             fingerprint=tuple(manifest.graph_fingerprint),
-            c_max=manifest.c_max, precision=manifest.precision)
+            c_max=manifest.c_max)
         return manifest
 
     def graph_ids(self) -> list[str]:
@@ -248,8 +201,8 @@ class ScoringService:
         """Queue one request; returns it with a request id assigned.
 
         Raises :class:`ServeError` when the queue is full, the graph id
-        is unknown, or the guidance is misshaped/non-finite — rejected
-        requests never enter the queue.
+        is unknown, or the guidance is non-numeric, ragged, misshaped or
+        non-finite — rejected requests never enter the queue.
         """
         endpoint = self._endpoints.get(request.graph_id)
         if endpoint is None:
@@ -257,10 +210,13 @@ class ScoringService:
                 f"unknown graph_id {request.graph_id!r} "
                 f"(registered: {self.graph_ids()})",
                 graph_id=request.graph_id)
-        # Admission-time shape normalization in float64; the
-        # per-endpoint cast_guidance converts right before the forward.
-        # repro-lint: disable-next-line=PRE001 -- admission normalization
-        guidance = np.asarray(request.guidance, dtype=float)
+        try:
+            guidance = np.asarray(request.guidance, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise self._reject(
+                f"guidance for graph {request.graph_id!r} is not a "
+                f"numeric (num_aps, 3) array: {exc}",
+                graph_id=request.graph_id) from exc
         expected = (endpoint.graph.num_aps, 3)
         if guidance.shape != expected:
             raise self._reject(
@@ -351,33 +307,25 @@ class ScoringService:
         degraded = False
         current = graph_fingerprint(endpoint.graph)
         if current != tuple(endpoint.fingerprint):
-            # The graph mutated under a pinned checkpoint: the forward
-            # cache just invalidated, so skip building a fresh union
-            # plan for what may be a transient geometry and serve this
-            # chunk unbatched.  The new fingerprint becomes the pin so
-            # a *stable* new geometry re-batches on the next flush.
+            # The graph mutated under a pinned checkpoint (the forward
+            # cache just invalidated): serve this chunk through the
+            # per-request fallback and flag it degraded.  The new
+            # fingerprint becomes the pin so a *stable* new geometry
+            # batches again on the next flush.
             endpoint.fingerprint = current
             degraded = True
             self.obs.counter("serve_degraded_total",
                              reason="cache_invalidated").inc()
         start = time.perf_counter()
         preds: np.ndarray | None = None
-        if not degraded and len(requests) > 1:
-            block = self.config.forward_block
+        if not degraded:
+            stack = np.stack([r.guidance for r in requests])
             try:
-                rows = []
-                for sub_start in range(0, len(requests), block):
-                    sub = requests[sub_start: sub_start + block]
-                    stack = endpoint.cast_guidance(
-                        np.stack([r.guidance for r in sub]))
-                    # Tape-free: scoring never backpropagates, and
-                    # retained per-block activation graphs would grow
-                    # the working set with the wave, defeating the
-                    # model's L2 cache blocking.
-                    with no_grad():
-                        rows.append(endpoint.model(
-                            endpoint.graph, Tensor(stack)).numpy())
-                preds = np.concatenate(rows, axis=0)
+                # Tape-free: scoring never backpropagates, and a tape
+                # would keep every chunk's activations alive.
+                with no_grad():
+                    preds = endpoint.model(endpoint.graph,
+                                           Tensor(stack)).numpy()
             except _FORWARD_ERRORS:
                 degraded = True
                 self.obs.counter("serve_degraded_total",
@@ -391,9 +339,7 @@ class ScoringService:
             try:
                 with no_grad():
                     single = endpoint.model(
-                        endpoint.graph,
-                        Tensor(endpoint.cast_guidance(
-                            request.guidance))).numpy()
+                        endpoint.graph, Tensor(request.guidance)).numpy()
             except _FORWARD_ERRORS as exc:
                 results.append(ScoreResult(
                     request_id=request.request_id,

@@ -1,23 +1,23 @@
-"""Cache-blocked union forward: parity harness and plan-cache pins.
+"""The one 3DGNN forward: batch-major chunks over receiver-sorted edges.
 
-The contracts under test (see docs/PERFORMANCE.md, "Forward blocking"):
+The contracts under test (see docs/PERFORMANCE.md, "One forward"):
 
-* the blocked float64 forward matches both the per-candidate unbatched
-  forward and the single-union reference path to <1e-10 for arbitrary
-  graphs, batch sizes, and block sizes — including degenerate graphs
-  (no modules, empty edge types) and remainder blocks;
-* gradients flow through block slicing exactly as through the union;
-* the float32 scoring path stays within ``FLOAT32_PARITY_RTOL`` of
-  float64 on every built-in OTA;
-* union plans are rebuilt when the graph's content fingerprint changes
-  (in-place position mutation) and reused — same object — when it does
-  not;
-* the per-graph plan caches are strictly LRU (hits refresh recency,
-  capacity evicts only the stalest plan) and never alias plans across
-  ``(fingerprint, B, block)`` keys.
+* a ``B``-candidate forward matches the per-candidate forward to <1e-10
+  for every ``B`` — including odd ``B``, whose last chunk is short — on
+  the built-in OTAs and on random graphs (no modules, empty edge types);
+* the per-candidate forward matches an independent oracle that
+  aggregates over the graph's *unsorted* edges with a scatter-add;
+* gradients reach every guidance slice across chunk boundaries;
+* an empty batch and misshaped guidance raise ``ValueError``;
+* the receiver-sorted statics are built once per graph, shared by every
+  batch size, and rebuilt when the graph's content fingerprint changes;
+* the registry serves float64 only: a manifest edited to declare
+  ``float32`` fails to load with a typed ``ServeError``.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -27,17 +27,21 @@ import repro.perf.cache as cache_mod
 from repro import build_benchmark, place_benchmark
 from repro.graph import build_hetero_graph
 from repro.graph.hetero import EdgeType, HeteroGraph
-from repro.model.gnn3d import DEFAULT_CACHE_BLOCK, Gnn3d, Gnn3dConfig
-from repro.nn import Tensor
-from repro.perf.cache import MAX_PLANS_PER_GRAPH, ForwardCacheStore
+from repro.model.gnn3d import FORWARD_CHUNK, Gnn3d, Gnn3dConfig
+from repro.nn import Tensor, concat, no_grad
+from repro.perf.cache import ForwardCacheStore
+from repro.reliability.errors import ServeError
 from repro.router import RoutingGrid
-from repro.serve import FLOAT32_PARITY_RTOL
+from repro.serve import ModelRegistry
 
 #: Tiny model for hypothesis examples (dims fixed by synthetic_graph).
 TINY = Gnn3dConfig(hidden=4, num_layers=1, rbf_centers=4, seed=3)
 
-#: Small-but-real model for the OTA float32 parity checks.
+#: Small-but-real model for the OTA checks.
 SMALL = Gnn3dConfig(hidden=8, num_layers=2, rbf_centers=4, seed=3)
+
+#: Batch sizes of the parity checks; the odd ones end in a short chunk.
+BATCHES = (1, 2, 3, 5, 8, 17)
 
 AP_DIM, MODULE_DIM = 4, 3
 
@@ -47,7 +51,7 @@ def synthetic_graph(num_aps: int, num_modules: int,
     """A random but valid HeteroGraph (feature dims AP_DIM/MODULE_DIM).
 
     Edge counts are drawn from ``seed`` too, including zero — empty
-    edge types exercise the plan builders' degenerate paths.
+    edge types exercise the forward's degenerate paths.
     """
     rng = np.random.default_rng(seed)
 
@@ -77,79 +81,116 @@ def synthetic_graph(num_aps: int, num_modules: int,
     )
 
 
+def reference_forward(model: Gnn3d, graph: HeteroGraph,
+                      guidance: np.ndarray) -> np.ndarray:
+    """One candidate through the model's own layers, aggregated over the
+    graph's unsorted directed edges with ``np.add.at`` — independent of
+    :class:`repro.perf.cache.GraphStatics` and its reduceat offsets."""
+    cfg = model.config
+    with no_grad():
+        c_all = np.concatenate([guidance, np.ones((graph.num_modules, 3))])
+        h = model.ap_embed(Tensor(graph.ap_features))
+        if graph.num_modules:
+            h = concat([h, model.module_embed(
+                Tensor(graph.module_features))], axis=0)
+        edges, feats = {}, {}
+        for edge_type in EdgeType:
+            src, dst = graph.directed_edges(edge_type)
+            if len(src) == 0:
+                continue
+            delta = np.abs(graph.positions[dst] - graph.positions[src])
+            if cfg.use_cost_distance:
+                delta = c_all[dst] * delta
+            dist = np.sqrt((delta * delta).sum(axis=1) + 1e-6)
+            feats[edge_type] = (model.rbf(Tensor(dist)) if cfg.use_rbf
+                                else Tensor(dist.reshape(-1, 1)))
+            edges[edge_type] = (src, dst)
+        for layer in model.layers:
+            aggregated = np.zeros_like(h.data)
+            for edge_type, (src, dst) in edges.items():
+                messages = layer.blocks[edge_type](h, src, feats[edge_type])
+                np.add.at(aggregated, dst, messages.data)
+            h = Tensor(h.data + aggregated)
+        return model.head(h).data.reshape(-1)
+
+
+def ota_graph(name: str, tech) -> HeteroGraph:
+    placement = place_benchmark(build_benchmark(name), variant="A", seed=0,
+                                iterations=60)
+    return build_hetero_graph(RoutingGrid(placement, tech))
+
+
+def assert_rows_match_singles(model: Gnn3d, graph: HeteroGraph,
+                              pool: np.ndarray) -> None:
+    """Every B in BATCHES: batched rows == per-candidate forwards."""
+    singles = np.stack([model(graph, Tensor(row)).numpy() for row in pool])
+    for batch in BATCHES:
+        rows = model.forward_batch(graph, Tensor(pool[:batch])).numpy()
+        assert rows.shape == (batch, 5)
+        assert np.abs(rows - singles[:batch]).max() < 1e-10, batch
+    oracle = reference_forward(model, graph, pool[0])
+    assert np.abs(singles[0] - oracle).max() < 1e-10
+
+
 class TestBlockedForwardParity:
     @given(num_aps=st.integers(2, 10), num_modules=st.integers(0, 4),
-           batch=st.integers(1, 16), block=st.integers(1, 8),
+           use_cost_distance=st.booleans(), use_rbf=st.booleans(),
            seed=st.integers(0, 2 ** 16))
     @settings(deadline=None, max_examples=25)
-    def test_blocked_matches_unbatched_and_union(self, num_aps, num_modules,
-                                                 batch, block, seed):
+    def test_batched_matches_per_candidate(self, num_aps, num_modules,
+                                           use_cost_distance, use_rbf,
+                                           seed):
         graph = synthetic_graph(num_aps, num_modules, seed)
-        model = Gnn3d(AP_DIM, MODULE_DIM, config=TINY)
+        config = Gnn3dConfig(hidden=4, num_layers=2, rbf_centers=4, seed=3,
+                             use_cost_distance=use_cost_distance,
+                             use_rbf=use_rbf)
+        model = Gnn3d(AP_DIM, MODULE_DIM, config=config)
         rng = np.random.default_rng(seed + 1)
-        cand = rng.uniform(0.5, 2.0, size=(batch, num_aps, 3))
+        pool = rng.uniform(0.5, 2.0, size=(max(BATCHES), num_aps, 3))
+        assert_rows_match_singles(model, graph, pool)
 
-        blocked = model.forward_batch(graph, Tensor(cand),
-                                      block=block).numpy()
-        union = model.forward_union(graph, Tensor(cand)).numpy()
-        singles = np.stack(
-            [model(graph, Tensor(row)).numpy() for row in cand])
-
-        assert blocked.shape == singles.shape
-        assert np.abs(blocked - singles).max() < 1e-10
-        assert np.abs(blocked - union).max() < 1e-10
+    @pytest.mark.parametrize("name", ["OTA1", "OTA2", "OTA3"])
+    def test_batched_matches_per_candidate_on_otas(self, name, tech):
+        graph = ota_graph(name, tech)
+        model = Gnn3d(graph.ap_features.shape[1],
+                      graph.module_features.shape[1], config=SMALL)
+        rng = np.random.default_rng(7)
+        pool = rng.uniform(0.5, 2.0, size=(max(BATCHES), graph.num_aps, 3))
+        assert_rows_match_singles(model, graph, pool)
 
     def test_default_dispatch_is_blocked(self, ota1_graph):
-        """3-D guidance through ``forward`` rides the blocked path."""
+        """3-D guidance through ``forward`` hands off to forward_batch."""
         model = Gnn3d(ota1_graph.ap_features.shape[1],
                       ota1_graph.module_features.shape[1], config=SMALL)
         rng = np.random.default_rng(0)
         cand = rng.uniform(0.5, 2.0, size=(6, ota1_graph.num_aps, 3))
         via_forward = model(ota1_graph, Tensor(cand)).numpy()
-        via_batch = model.forward_batch(ota1_graph, Tensor(cand),
-                                        block=DEFAULT_CACHE_BLOCK).numpy()
+        via_batch = model.forward_batch(ota1_graph, Tensor(cand)).numpy()
         assert np.array_equal(via_forward, via_batch)
 
     def test_gradients_flow_through_block_slices(self, ota1_graph):
-        """Multi-block backward scatters into the right guidance rows."""
+        """Backward through several chunks (the last one short) scatters
+        into the right guidance rows."""
         model = Gnn3d(ota1_graph.ap_features.shape[1],
                       ota1_graph.module_features.shape[1], config=SMALL)
+        batch = 2 * FORWARD_CHUNK + 1
         rng = np.random.default_rng(2)
-        cand = rng.uniform(0.5, 2.0, size=(5, ota1_graph.num_aps, 3))
+        cand = rng.uniform(0.5, 2.0, size=(batch, ota1_graph.num_aps, 3))
         batched = Tensor(cand, requires_grad=True)
-        model.forward_batch(ota1_graph, batched, block=2).sum().backward()
-        for row in range(5):
+        model.forward_batch(ota1_graph, batched).sum().backward()
+        for row in range(batch):
             single = Tensor(cand[row], requires_grad=True)
             model(ota1_graph, single).sum().backward()
+            assert np.abs(single.grad).max() > 0
             assert np.abs(single.grad - batched.grad[row]).max() < 1e-10
 
-    @pytest.mark.parametrize("name", ["OTA1", "OTA2", "OTA3"])
-    def test_float32_parity_within_contract(self, name, tech):
-        circuit = build_benchmark(name)
-        placement = place_benchmark(circuit, variant="A", seed=0,
-                                    iterations=60)
-        graph = build_hetero_graph(RoutingGrid(placement, tech))
-        dims = (graph.ap_features.shape[1], graph.module_features.shape[1])
-        model64 = Gnn3d(*dims, config=SMALL)
-        model32 = Gnn3d(*dims, config=SMALL).to_dtype(np.float32)
-
-        rng = np.random.default_rng(7)
-        cand = rng.uniform(0.5, 2.0, size=(6, graph.num_aps, 3))
-        out64 = model64.forward_batch(graph, Tensor(cand)).numpy()
-        out32 = model32.forward_batch(
-            graph, Tensor(cand.astype(np.float32))).numpy()
-
-        assert out32.dtype == np.float32
-        rel = np.abs(out32 - out64) / np.maximum(1.0, np.abs(out64))
-        assert rel.max() < FLOAT32_PARITY_RTOL
-
     def test_no_stale_plans_after_position_mutation(self):
-        """Warm plans must not survive an in-place geometry change."""
+        """Warm statics must not survive an in-place geometry change."""
         graph = synthetic_graph(6, 2, seed=11)
         model = Gnn3d(AP_DIM, MODULE_DIM, config=TINY)
         rng = np.random.default_rng(3)
         cand = rng.uniform(0.5, 2.0, size=(5, 6, 3))
-        model.forward_batch(graph, Tensor(cand))  # warm the plan cache
+        model.forward_batch(graph, Tensor(cand))  # warm the statics
         graph.ap_positions[0, 0] += 2.5
         after = model.forward_batch(graph, Tensor(cand)).numpy()
         # Same seeded weights, cold cache: the ground truth.
@@ -157,86 +198,13 @@ class TestBlockedForwardParity:
             graph, Tensor(cand)).numpy()
         assert np.array_equal(after, fresh)
 
-
-class TestUnionPlanCache:
-    def test_plan_reused_until_fingerprint_changes(self):
-        graph = synthetic_graph(6, 2, seed=5)
-        store = ForwardCacheStore()
-        plan = store.union_plan(graph, 6, 2)
-        assert store.union_plan(graph, 6, 2) is plan
-        graph.ap_positions[1, 1] += 4.0
-        fresh = store.union_plan(graph, 6, 2)
-        assert fresh is not plan
-        et = next(t for t, p in graph.edges.items() if len(p))
-        assert not np.array_equal(fresh.plans[0].deltas[et],
-                                  plan.plans[0].deltas[et])
-
-    def test_blocked_decomposition_shape(self):
-        graph = synthetic_graph(5, 1, seed=8)
-        store = ForwardCacheStore()
-        plan = store.union_plan(graph, 7, 3)
-        assert plan.batch == 7 and plan.block == 3
-        assert plan.slices == ((0, 3), (3, 6), (6, 7))
-        assert [p.batch for p in plan.plans] == [3, 3, 1]
-        # Full blocks share one UnionBlockPlan object.
-        assert plan.plans[0] is plan.plans[1]
-        # Block larger than batch degenerates to one union.
-        assert store.union_plan(graph, 2, 16).block == 2
-
-    def test_block_plans_shared_across_batch_sizes(self):
-        graph = synthetic_graph(6, 2, seed=6)
-        store = ForwardCacheStore()
-        p8 = store.union_plan(graph, 8, 4)
-        p12 = store.union_plan(graph, 12, 4)
-        assert p12.plans[0] is p8.plans[0]
-
-    def test_no_aliasing_across_fingerprints(self):
-        """Two same-shape graphs must get distinct plans."""
-        g1 = synthetic_graph(6, 2, seed=21)
-        g2 = synthetic_graph(6, 2, seed=22)
-        store = ForwardCacheStore()
-        p1 = store.union_plan(g1, 4, 2)
-        p2 = store.union_plan(g2, 4, 2)
-        assert p1 is not p2
-        assert store.union_plan(g1, 4, 2) is p1
-        assert store.union_plan(g2, 4, 2) is p2
-        et = next(t for t in EdgeType
-                  if len(g1.edges[t]) and len(g2.edges[t]))
-        assert not np.array_equal(p1.plans[0].deltas[et],
-                                  p2.plans[0].deltas[et])
-
-    def test_lru_eviction_only_with_hit_refresh(self, monkeypatch):
-        """Regression: plan caches must never clear wholesale — LRU
-        eviction of exactly the stalest plan, with hits refreshing
-        recency."""
-        builds: list[int] = []
-        real_build = cache_mod.build_block_plan
-        monkeypatch.setattr(
-            cache_mod, "build_block_plan",
-            lambda graph, statics, batch:
-                builds.append(batch) or real_build(graph, statics, batch))
-        graph = synthetic_graph(4, 1, seed=9)
-        store = ForwardCacheStore()
-        cap = MAX_PLANS_PER_GRAPH
-        for size in range(1, cap + 1):
-            store.union_plan(graph, size, size)
-        assert builds == list(range(1, cap + 1))
-        store.union_plan(graph, 1, 1)          # hit refreshes size 1
-        assert len(builds) == cap
-        store.union_plan(graph, cap + 1, cap + 1)  # evicts size 2 only
-        assert builds[-1] == cap + 1
-        store.union_plan(graph, 1, 1)          # survived the eviction
-        assert builds.count(1) == 1
-        store.union_plan(graph, 2, 2)          # the one that was evicted
-        assert builds.count(2) == 2
-
-    def test_invalid_batch_and_block_rejected(self):
+    def test_invalid_batch_rejected(self):
         graph = synthetic_graph(3, 0, seed=4)
-        store = ForwardCacheStore()
-        with pytest.raises(ValueError, match="batch"):
-            store.union_plan(graph, 0, 2)
-        with pytest.raises(ValueError, match="block"):
-            store.union_plan(graph, 2, 0)
+        model = Gnn3d(AP_DIM, MODULE_DIM, config=TINY)
+        with pytest.raises(ValueError, match="at least one"):
+            model.forward_batch(graph, Tensor(np.ones((0, 3, 3))))
+        with pytest.raises(ValueError, match="at least one"):
+            model(graph, Tensor(np.ones((0, 3, 3))))
 
     def test_misshaped_guidance_rejected(self):
         graph = synthetic_graph(4, 1, seed=12)
@@ -244,4 +212,78 @@ class TestUnionPlanCache:
         with pytest.raises(ValueError, match="guidance shape"):
             model.forward_batch(graph, Tensor(np.ones((2, 3, 3))))
         with pytest.raises(ValueError, match="guidance shape"):
-            model.forward_union(graph, Tensor(np.ones((2, 3, 3))))
+            model(graph, Tensor(np.ones((4, 2))))
+
+
+class TestStaticsCache:
+    def test_edges_sorted_by_receiver(self):
+        graph = synthetic_graph(7, 3, seed=5)
+        statics = ForwardCacheStore().statics(graph)
+        for edge_type in EdgeType:
+            src, dst = statics.edge_cache[edge_type]
+            orig_src, orig_dst = graph.directed_edges(edge_type)
+            assert np.all(np.diff(dst) >= 0)
+            assert (sorted(zip(src.tolist(), dst.tolist()))
+                    == sorted(zip(orig_src.tolist(), orig_dst.tolist())))
+            nodes = statics.seg_nodes[edge_type]
+            starts = statics.seg_starts[edge_type]
+            assert np.array_equal(nodes, np.unique(dst))
+            assert np.array_equal(dst[starts], nodes)
+            np.testing.assert_array_equal(
+                statics.deltas[edge_type],
+                np.abs(graph.positions[dst] - graph.positions[src]))
+
+    def test_statics_reused_until_fingerprint_changes(self):
+        graph = synthetic_graph(6, 2, seed=5)
+        store = ForwardCacheStore()
+        statics = store.statics(graph)
+        assert store.statics(graph) is statics
+        graph.ap_positions[1, 1] += 4.0
+        fresh = store.statics(graph)
+        assert fresh is not statics
+        et = next(t for t, p in graph.edges.items() if len(p))
+        assert not np.array_equal(fresh.deltas[et], statics.deltas[et])
+
+    def test_statics_shared_across_batch_sizes(self, monkeypatch):
+        builds: list[int] = []
+        real_build = cache_mod.build_statics
+        monkeypatch.setattr(
+            cache_mod, "build_statics",
+            lambda graph: builds.append(id(graph)) or real_build(graph))
+        graph = synthetic_graph(6, 2, seed=6)
+        model = Gnn3d(AP_DIM, MODULE_DIM, config=TINY)
+        rng = np.random.default_rng(0)
+        for batch in (1, 3, 8, 2, 17):
+            model(graph, Tensor(rng.uniform(0.5, 2.0, size=(batch, 6, 3))))
+        model(graph, Tensor(rng.uniform(0.5, 2.0, size=(6, 3))))
+        assert builds == [id(graph)]
+
+    def test_no_aliasing_across_fingerprints(self):
+        """Two same-shape graphs must get distinct statics."""
+        g1 = synthetic_graph(6, 2, seed=21)
+        g2 = synthetic_graph(6, 2, seed=22)
+        store = ForwardCacheStore()
+        s1 = store.statics(g1)
+        s2 = store.statics(g2)
+        assert s1 is not s2
+        assert store.statics(g1) is s1
+        assert store.statics(g2) is s2
+        et = next(t for t in EdgeType
+                  if len(g1.edges[t]) and len(g2.edges[t]))
+        assert not np.array_equal(s1.deltas[et], s2.deltas[et])
+
+
+class TestServedPrecision:
+    def test_float32_manifest_fails_load(self, ota1_graph, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        model = Gnn3d(ota1_graph.ap_features.shape[1],
+                      ota1_graph.module_features.shape[1], config=SMALL)
+        manifest = registry.save("ota1", model, ota1_graph)
+        path = tmp_path / "registry" / "ota1" / manifest.version / \
+            "manifest.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["precision"] = "float32"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ServeError, match="float32") as info:
+            registry.load("ota1", graph=ota1_graph)
+        assert info.value.details["precision"] == "float32"

@@ -6,7 +6,7 @@ violations (exact-count pinned) and a compliant ``<id>_good.py`` twin
 that must stay quiet under *all* graph rules.  Graph fixtures are fed
 through :func:`repro.lint.engine.lint_project_sources` with module
 overrides that place them inside the rules' jurisdiction (worker
-modules, the serving surface, package ``__init__`` exports).
+modules, package ``__init__`` exports).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ GRAPH_EXPECTED = {
     "WRK001": (3, "repro.perf.parallel"),
     "WRK002": (3, "repro.perf.parallel"),
     "TAPE001": (2, "repro.core.fixture"),
-    "PRE001": (2, "repro.serve.service"),
     "EXC101": (1, "repro"),
 }
 

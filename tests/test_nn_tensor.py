@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor, as_tensor, concat, segment_sum, stack, where_positive
+from repro.nn import (
+    Tensor,
+    as_tensor,
+    concat,
+    segment_sum_csr,
+    stack,
+    where_positive,
+)
 
 
 def numgrad(f, x, eps=1e-6):
@@ -200,22 +207,37 @@ class TestFunctional:
         stack([a, b], axis=0).sum().backward()
         np.testing.assert_allclose(a.grad, np.ones(3))
 
+    # segment_sum_csr: rows pre-sorted by id [0, 2, 2] into 4 segments
+    # (1 and 3 stay empty); receivers [0, 2] start at rows [0, 1].
+    SEG_IDS = np.array([0, 2, 2])
+    SEG_NODES = np.array([0, 2])
+    SEG_STARTS = np.array([0, 1])
+
     def test_segment_sum_values(self):
         vals = Tensor(np.arange(6.0).reshape(3, 2))
-        out = segment_sum(vals, np.array([1, 0, 1]), 2)
-        np.testing.assert_allclose(out.data, [[2.0, 3.0], [4.0, 6.0]])
+        out = segment_sum_csr(vals, self.SEG_NODES, self.SEG_STARTS,
+                              self.SEG_IDS, 4)
+        np.testing.assert_allclose(
+            out.data, [[0.0, 1.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
 
     def test_segment_sum_grad(self):
         vals = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        (segment_sum(vals, np.array([1, 0, 1]), 2) *
-         Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))).sum().backward()
-        np.testing.assert_allclose(vals.grad, [[3, 4], [1, 2], [3, 4]])
+        weights = Tensor(np.arange(1.0, 9.0).reshape(4, 2))
+        (segment_sum_csr(vals, self.SEG_NODES, self.SEG_STARTS,
+                         self.SEG_IDS, 4) * weights).sum().backward()
+        np.testing.assert_allclose(vals.grad, [[1, 2], [5, 6], [5, 6]])
 
     def test_segment_sum_validates_ids(self):
-        with pytest.raises(ValueError):
-            segment_sum(Tensor(np.ones((2, 2))), np.array([0, 5]), 2)
-        with pytest.raises(ValueError):
-            segment_sum(Tensor(np.ones((2, 2))), np.array([0]), 2)
+        ones = Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="out of range"):
+            segment_sum_csr(ones, np.array([0, 5]), np.array([0, 1]),
+                            np.array([0, 5]), 2)
+        with pytest.raises(ValueError, match="length"):
+            segment_sum_csr(ones, np.array([0]), np.array([0]),
+                            np.array([0]), 2)
+        with pytest.raises(ValueError, match="mismatch"):
+            segment_sum_csr(ones, np.array([0, 1]), np.array([0]),
+                            np.array([0, 1]), 2)
 
     def test_where_positive(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -5,8 +5,8 @@ Locks the *shape* (recursive type skeleton, see :func:`schema_of`) of:
 * checkpoint JSONL records (header + sample lines),
 * the observability trace JSONL records (header + span lines),
 * the run manifest,
-* the model-registry manifest (including the ``precision`` execution
-  dtype and its typed rejection of unknown values).
+* the model-registry manifest (including the ``precision`` field, which
+  must read ``float64``, and its typed rejection of anything else).
 
 A schema change fails with a readable unified diff against the fixture
 under ``tests/golden/``.  To accept an intentional format change, rerun
@@ -29,14 +29,7 @@ from repro.core import DatasetConfig, generate_dataset
 from repro.model.gnn3d import Gnn3d, Gnn3dConfig
 from repro.obs import RunContext, load_trace
 from repro.reliability.errors import ServeError
-from repro.serve import (
-    FLOAT32_PARITY_RTOL,
-    ModelManifest,
-    ModelRegistry,
-    PRECISIONS,
-    ScoringService,
-    ServeConfig,
-)
+from repro.serve import PRECISION, ModelManifest, ModelRegistry
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -159,15 +152,14 @@ class TestGoldenSchemas:
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(ota1_graph, tmp_path_factory):
-    """One float32 checkpoint in a throwaway registry."""
+    """One checkpoint in a throwaway registry."""
     tmp = tmp_path_factory.mktemp("registry_golden")
     dims = (ota1_graph.ap_features.shape[1],
             ota1_graph.module_features.shape[1])
     model = Gnn3d(*dims, Gnn3dConfig(hidden=8, num_layers=1,
                                      rbf_centers=4, seed=0))
     registry = ModelRegistry(tmp)
-    manifest = registry.save("ota1", model, ota1_graph,
-                             precision="float32")
+    manifest = registry.save("ota1", model, ota1_graph)
     return registry, manifest
 
 
@@ -178,17 +170,16 @@ class TestRegistryManifest:
         on_disk = json.loads(
             (registry.root / "ota1" / manifest.version / "manifest.json")
             .read_text(encoding="utf-8"))
-        assert on_disk["precision"] in PRECISIONS
+        assert on_disk["precision"] == PRECISION
         check_golden("registry_manifest_schema.json", schema_of(on_disk))
 
     def test_precision_round_trips(self, saved_checkpoint, ota1_graph):
         registry, manifest = saved_checkpoint
-        assert manifest.precision == "float32"
+        assert manifest.precision == "float64"
         loaded = registry.load_manifest("ota1", manifest.version)
-        assert loaded.precision == "float32"
+        assert loaded.precision == "float64"
         model, _ = registry.load("ota1", manifest.version, graph=ota1_graph)
-        # The load already cast the verified float64 weights.
-        assert all(p.data.dtype == np.float32 for p in model.parameters())
+        assert all(p.data.dtype == np.float64 for p in model.parameters())
 
     def test_precision_defaults_for_legacy_manifests(self, saved_checkpoint):
         """Pre-``precision`` schema-v1 manifests keep loading as float64."""
@@ -199,16 +190,6 @@ class TestRegistryManifest:
         del data["precision"]
         assert ModelManifest.from_dict(data).precision == "float64"
 
-    def test_unknown_precision_rejected_on_save(self, saved_checkpoint,
-                                                ota1_graph):
-        registry, _ = saved_checkpoint
-        dims = (ota1_graph.ap_features.shape[1],
-                ota1_graph.module_features.shape[1])
-        model = Gnn3d(*dims, Gnn3dConfig(hidden=8, num_layers=1,
-                                         rbf_centers=4, seed=0))
-        with pytest.raises(ServeError, match="unknown precision"):
-            registry.save("ota1", model, ota1_graph, precision="float16")
-
     def test_unknown_precision_rejected_on_load(self, saved_checkpoint):
         """A hand-edited manifest must fail with a typed ServeError."""
         registry, manifest = saved_checkpoint
@@ -218,46 +199,10 @@ class TestRegistryManifest:
         data["precision"] = "bfloat16"
         path.write_text(json.dumps(data), encoding="utf-8")
         try:
-            with pytest.raises(ServeError, match="unknown precision"):
+            with pytest.raises(ServeError, match="precision 'bfloat16'"):
                 registry.load_manifest("ota1", manifest.version)
         finally:
             path.write_text(original, encoding="utf-8")
-
-    def test_unknown_precision_rejected_on_register(self, ota1_graph):
-        service = ScoringService(ServeConfig())
-        dims = (ota1_graph.ap_features.shape[1],
-                ota1_graph.module_features.shape[1])
-        model = Gnn3d(*dims, Gnn3dConfig(hidden=8, num_layers=1,
-                                         rbf_centers=4, seed=0))
-        with pytest.raises(ServeError, match="unknown precision"):
-            service.register("ota1", model, ota1_graph, precision="int8")
-
-    def test_float32_checkpoint_scores_within_contract(self, saved_checkpoint,
-                                                       ota1_graph):
-        """End to end: a float32 checkpoint served through the scoring
-        service agrees with its float64 twin within the documented
-        tolerance."""
-        registry, manifest = saved_checkpoint
-        service = ScoringService(ServeConfig(max_batch=4))
-        loaded = service.register_checkpoint(
-            "ota1-f32", registry, "ota1", ota1_graph,
-            version=manifest.version)
-        assert loaded.precision == "float32"
-        dims = (ota1_graph.ap_features.shape[1],
-                ota1_graph.module_features.shape[1])
-        # Same seeded weights as the checkpoint, left in float64.
-        service.register("ota1-f64", Gnn3d(
-            *dims, Gnn3dConfig(hidden=8, num_layers=1, rbf_centers=4,
-                               seed=0)), ota1_graph)
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            guidance = rng.uniform(0.5, 2.0, size=(ota1_graph.num_aps, 3))
-            r32 = service.score("ota1-f32", guidance)
-            r64 = service.score("ota1-f64", guidance)
-            assert r32.status == "ok" and r64.status == "ok"
-            rel = (np.abs(r32.metrics - r64.metrics)
-                   / np.maximum(1.0, np.abs(r64.metrics)))
-            assert rel.max() < FLOAT32_PARITY_RTOL
 
 
 class TestSchemaOf:

@@ -168,9 +168,6 @@ class TestBatchedForward:
         store = ForwardCacheStore()
         statics = store.statics(graph)
         assert store.statics(graph) is statics  # cached
-        plan = store.batched(graph, 3)
-        assert store.batched(graph, 3) is plan
-        assert plan.num_nodes == 3 * graph.num_nodes
         # Structural change invalidates the entry.
         et = next(t for t, p in graph.edges.items() if len(p))
         pairs = graph.edges[et]
@@ -210,7 +207,8 @@ class TestBatchedForward:
     def test_eviction_never_thrashes_hot_entries(self, ota1_placement,
                                                  tech, monkeypatch):
         """Regression: capacity used to clear() the whole store, so
-        alternating across ``max_graphs + 1`` graphs rebuilt everything.
+        alternating across ``MAX_CACHED_GRAPHS + 1`` graphs rebuilt
+        everything.
         LRU must evict only the stalest entry."""
         import repro.perf.cache as cache_mod
         grid = RoutingGrid(ota1_placement, tech)
@@ -220,7 +218,8 @@ class TestBatchedForward:
         monkeypatch.setattr(
             cache_mod, "build_statics",
             lambda graph: builds.append(id(graph)) or real_build(graph))
-        store = ForwardCacheStore(max_graphs=2)
+        monkeypatch.setattr(cache_mod, "MAX_CACHED_GRAPHS", 2)
+        store = ForwardCacheStore()
         store.statics(g1)
         store.statics(g2)
         store.statics(g2)          # hit refreshes recency

@@ -251,7 +251,7 @@ class TestScoringParity:
         registry = ModelRegistry(tmp_path / "reg")
         registry.save(circuit.lower(), model, graph)
 
-        service = ScoringService(ServeConfig(max_batch=8, forward_block=4))
+        service = ScoringService(ServeConfig(max_batch=8))
         service.register_checkpoint(circuit.lower(), registry,
                                     circuit.lower(), graph)
         stream = guidance_stream(graph, 6, seed=1)
@@ -264,7 +264,9 @@ class TestScoringParity:
             w = service._endpoints[circuit.lower()].w_signed
             assert result.fom == pytest.approx(float(w @ direct))
 
-    def test_forward_block_caps_union_size(self, fresh_graph, tmp_path):
+    def test_every_wave_is_one_batched_forward(self, fresh_graph):
+        """Each wave, a single request included, is one 3-D model call;
+        the model chunks it, not the service."""
         model = small_model(fresh_graph)
         shapes = []
         real_forward = model.forward
@@ -274,14 +276,15 @@ class TestScoringParity:
             return real_forward(graph, guidance)
 
         model.forward = spying_forward
-        service = ScoringService(ServeConfig(max_batch=8, forward_block=3))
+        service = ScoringService(ServeConfig(max_batch=8))
         service.register("g", model, fresh_graph)
-        stream = guidance_stream(fresh_graph, 8)
+        stream = guidance_stream(fresh_graph, 9)
         results = list(service.score_stream(
             ScoreRequest("g", g) for g in stream))
-        # One wave of 8, forwards capped at 3: 3 + 3 + 2.
-        assert [s[0] for s in shapes] == [3, 3, 2]
-        assert all(r.status == "ok" and r.batch_size == 8 for r in results)
+        assert shapes == [(8, fresh_graph.num_aps, 3),
+                          (1, fresh_graph.num_aps, 3)]
+        assert [r.batch_size for r in results] == [8] * 8 + [1]
+        assert all(r.status == "ok" and not r.degraded for r in results)
 
     def test_results_in_submission_order_across_graphs(self, fresh_graph,
                                                        ota1_placement,
@@ -332,6 +335,25 @@ class TestAdmissionControl:
         assert service.stats.rejected == 2
         assert service.queue_depth == 0  # rejected requests never queue
 
+    @pytest.mark.parametrize("guidance, reason", [
+        ([["a", "b", "c"]] * 46, "could not convert"),
+        ([[1, 2], [3]], "inhomogeneous"),
+    ], ids=["non-numeric", "ragged"])
+    def test_malformed_guidance_rejected_typed(self, fresh_graph, guidance,
+                                               reason):
+        """Regression: these escaped ``submit`` as a raw ValueError and
+        were never counted as rejected."""
+        obs = RunContext.recording()
+        service = ScoringService(obs=obs)
+        service.register("g", small_model(fresh_graph), fresh_graph)
+        with pytest.raises(ServeError, match=reason) as info:
+            service.submit(ScoreRequest("g", guidance))
+        assert info.value.details["graph_id"] == "g"
+        assert service.stats.rejected == 1
+        assert service.queue_depth == 0
+        assert obs.counter_values()[
+            "serve_requests_total{status=rejected}"] == 1
+
     def test_queue_full_rejects_and_counts(self, fresh_graph):
         obs = RunContext.recording()
         service = ScoringService(ServeConfig(max_batch=8, max_queue=2),
@@ -353,8 +375,6 @@ class TestAdmissionControl:
             ServeConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServeConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            ServeConfig(forward_block=0)
 
 
 class TestDegradation:
@@ -418,7 +438,7 @@ class TestDegradation:
             return out
 
         model.forward = sometimes_nan
-        service = ScoringService(ServeConfig(max_batch=2, forward_block=1))
+        service = ScoringService(ServeConfig(max_batch=2))
         service.register("g", model, fresh_graph)
         good = service.score("g", guidance_stream(fresh_graph, 1)[0])
         assert good.status == "ok"
