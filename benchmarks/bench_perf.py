@@ -54,7 +54,11 @@ from repro.perf.timing import (
 )
 from repro.router import IterativeRouter, RoutingGrid
 from repro.router.guidance import RoutingGuidance, random_guidance
-from tests.router_oracle import ReferenceRouter
+from tests.router_oracle import (
+    ReferenceRouter,
+    connection_parity,
+    record_connections,
+)
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
 
@@ -86,9 +90,12 @@ FORWARD_MAX_AMORTIZED_RATIO = 0.9
 
 
 def _route_once(placement, tech, guidance_seed, oracle: bool):
-    """One timed ``route_all`` on a fresh grid; returns (dt, paths, exp).
+    """One timed ``route_all`` on a fresh grid; returns (dt, paths, calls).
 
     With ``oracle`` the router searches with the seed engine instead.
+    ``calls`` logs every ``route_connection`` call (see
+    ``tests/router_oracle.py``); both sides pay the same small logging
+    cost.
     """
     grid = RoutingGrid(placement, tech)
     if guidance_seed is None:
@@ -100,12 +107,13 @@ def _route_once(placement, tech, guidance_seed, oracle: bool):
     router = IterativeRouter(grid, guidance)
     if oracle:
         router.astar = ReferenceRouter(grid, router.config.cost)
+    calls = record_connections(router.astar)
     start = time.perf_counter()
     result = router.route_all()
     elapsed = time.perf_counter() - start
     paths = {name: tuple(tuple(path) for path in route.paths)
              for name, route in result.routes.items()}
-    return elapsed, paths, router.astar.expansions_total
+    return elapsed, paths, calls
 
 
 def measure_route() -> dict:
@@ -113,8 +121,11 @@ def measure_route() -> dict:
 
     Each scenario routes the same placement with the seed (reference)
     router and with the A* router, on neutral and on random guidance.
-    Identity of routed paths and expansion counts is part of the record
-    (and the CI gate).
+    Per-connection parity with the reference is part of the record (and
+    the CI gate): the same calls, paths and failures, and the same
+    expansion count on every call the A* router searched.  Hard-mode
+    calls it proved unreachable without a search are counted in
+    ``unreachable_skipped``.
     """
     tech = generic_40nm()
     scenarios: dict[str, dict] = {}
@@ -127,9 +138,9 @@ def measure_route() -> dict:
         for label, seed in (("neutral", None), ("guided", 7)):
             # Interleave reference/A* trials so slow drift on the runner
             # (thermal, background load) biases neither side.
-            ref_t, ref_paths, ref_exp = _route_once(
+            ref_t, ref_paths, ref_calls = _route_once(
                 placement, tech, seed, oracle=True)
-            new_t, new_paths, new_exp = _route_once(
+            new_t, new_paths, new_calls = _route_once(
                 placement, tech, seed, oracle=False)
             for _ in range(ROUTE_REPEATS - 1):
                 ref_t = min(ref_t, _route_once(
@@ -137,8 +148,10 @@ def measure_route() -> dict:
                 new_t = min(new_t, _route_once(
                     placement, tech, seed, oracle=False)[0])
             nets = max(len(ref_paths), 1)
-            same = new_paths == ref_paths and new_exp == ref_exp
+            same = (new_paths == ref_paths
+                    and not connection_parity(new_calls, ref_calls))
             identical = identical and same
+            new_exp = sum(call.expansions for call in new_calls)
             totals[label][0] += ref_t
             totals[label][1] += new_t
             scenarios[f"{circuit_name}.{label}"] = {
@@ -146,9 +159,13 @@ def measure_route() -> dict:
                 "seconds": round(new_t, 4),
                 "speedup": round(ref_t / new_t, 2),
                 "expansions": new_exp,
+                "reference_expansions": sum(
+                    call.expansions for call in ref_calls),
+                "unreachable_skipped": sum(
+                    call.skipped for call in new_calls),
                 "expansions_per_sec": round(new_exp / new_t),
                 "per_net_route_seconds": round(new_t / nets, 5),
-                "paths_identical": same,
+                "oracle_parity": same,
             }
     return {
         "scenarios": scenarios,
@@ -156,13 +173,13 @@ def measure_route() -> dict:
             "neutral": round(totals["neutral"][0] / totals["neutral"][1], 2),
             "guided": round(totals["guided"][0] / totals["guided"][1], 2),
         },
-        "paths_identical": identical,
+        "oracle_parity": identical,
         "repeats": ROUTE_REPEATS,
     }
 
 
 def check_route(route: dict, baseline: dict | None) -> list[str]:
-    """Route-section gates: in-run speedups and path identity."""
+    """Route-section gates: in-run speedups and per-connection parity."""
     problems: list[str] = []
     speedup = route.get("speedup", {})
     neutral = float(speedup.get("neutral", 0.0))
@@ -172,11 +189,11 @@ def check_route(route: dict, baseline: dict | None) -> list[str]:
             problems.append(
                 f"route speedup ({label}) {value:.2f}x below the "
                 f"{ROUTE_MIN_SPEEDUP:.1f}x gate")
-    if not route.get("paths_identical", False):
+    if not route.get("oracle_parity", False):
         bad = [name for name, s in route.get("scenarios", {}).items()
-               if not s.get("paths_identical", False)]
-        problems.append(f"routed paths differ from the reference router "
-                        f"in: {', '.join(bad) or 'unknown'}")
+               if not s.get("oracle_parity", False)]
+        problems.append(f"routing differs from the reference router "
+                        f"call by call in: {', '.join(bad) or 'unknown'}")
     if baseline is not None and "route" in baseline:
         base_route = float(
             baseline["route"].get("speedup", {}).get("neutral", 0.0))
@@ -466,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     route = payload["route"]
     print(f"  route: {route['speedup']['neutral']}x neutral / "
           f"{route['speedup']['guided']}x guided vs in-run reference, "
-          f"paths_identical={route['paths_identical']}")
+          f"oracle_parity={route['oracle_parity']}")
     fwd = payload["forward"]
     print(f"  forward: B={fwd['batch_sweep'][-1]} amortizes to "
           f"{fwd['amortized_ratio']}x the B=1 per-candidate time "

@@ -32,9 +32,9 @@ class PotentialStats:
             candidates costs one forward instead of ``B``).
 
     The relaxer reads deltas of these counters to emit the
-    ``gnn_forwards`` and ``lbfgs_evals`` observability metrics (see
-    ``docs/OBSERVABILITY.md``), so they must stay cumulative within a
-    run and only reset via :meth:`PotentialFunction.reset_stats`.
+    ``relax_forwards_total`` and ``relax_evals_total`` observability
+    metrics (see ``docs/OBSERVABILITY.md``), so they must stay cumulative
+    within a run and only reset via :meth:`PotentialFunction.reset_stats`.
     """
 
     evals: int = 0

@@ -147,8 +147,8 @@ class PotentialRelaxer:
     With an enabled ``obs`` context, every attempted restart emits a
     ``relax.restart`` span (outcome ``ok`` / ``diverged``, with its eval
     count and pool-seeding flag), reusing the trace's own perf_counter
-    measurements; the run's totals feed the ``gnn_forwards`` and
-    ``lbfgs_evals`` counters.
+    measurements; the run's totals feed the ``relax_forwards_total`` and
+    ``relax_evals_total`` counters.
     """
 
     def __init__(self, config: RelaxationConfig | None = None,
@@ -187,8 +187,9 @@ class PotentialRelaxer:
         else:
             pool = self._run_serial(potential, rng, seeds)
         self.trace.gnn_forwards = potential.stats.forwards - start_forwards
-        self.obs.counter("gnn_forwards").inc(self.trace.gnn_forwards)
-        self.obs.counter("lbfgs_evals").inc(
+        self.obs.counter("relax_forwards_total").inc(
+            self.trace.gnn_forwards)
+        self.obs.counter("relax_evals_total").inc(
             potential.stats.evals + potential.stats.batched_evals
             - start_evals)
 

@@ -9,10 +9,15 @@ Routing is the inner loop of dataset generation, so all per-node
 arithmetic is precomputed into flat cost fields
 (``repro.router.costfield``) over a *padded* grid: the unrolled expansion
 loop is pure Python-list lookups — no numpy scalar indexing, no bounds
-checks, no per-push heuristic calls.  Paths and expansion counts are
-bit-identical to the seed router (pop order ``(f, g, node)``,
-first-writer-wins on g-score ties), which the test suite keeps as an
-oracle in ``tests/router_oracle.py``.
+checks, no per-push heuristic calls.  Paths are bit-identical to the
+seed router (pop order ``(f, g, node)``, first-writer-wins on g-score
+ties), which the test suite keeps as an oracle in
+``tests/router_oracle.py``; expansion counts are identical for every
+search that runs.  Hard-mode connections with no passable path are
+proven unreachable from the component labels of
+:meth:`~repro.router.costfield.AddField.reaches` and never searched: a
+failed hard search would flood the whole reachable region only to
+return None.
 
 G-scores, parents, and visited marks live in preallocated flat state
 indexed by the cell encoding, reused across connections via a generation
@@ -31,6 +36,7 @@ import numpy as np
 from repro.router.costfield import (
     CostField,
     INF,
+    build_add_core,
     validate_connection_inputs,
 )
 from repro.router.grid import GridNode, RoutingGrid
@@ -108,6 +114,9 @@ class AStarRouter:
         #: Expansions by search mode; the heap engine is the only one, so
         #: the sole key is ``"scalar"``.
         self.expansions_by_mode: dict[str, int] = {}
+        #: Hard-mode connections proven unreachable and not searched; the
+        #: ``route_unreachable_total`` counter reads the deltas.
+        self.unreachable_total = 0
         # Search state, lazily allocated.
         self._list_state: _SearchState | None = None
         # (tx, ty) -> padded unscaled Manhattan heuristic field, shared
@@ -164,40 +173,44 @@ class AStarRouter:
                 Non-finite or negative entries raise ``RoutingError``.
             add_core: optional precomputed
                 :class:`~repro.router.costfield.AddField` for this
-                (net, soft) state, reused across a net's connections.
+                (net, soft) state, reused across a net's connections;
+                built for this call alone when None.
 
         Returns:
             The path as a list of grid cells from a source to a target, or
-            None when no path exists within budget.
+            None when no path exists within budget.  In hard mode a
+            target outside the sources' passable components returns None
+            without a search (counted in :attr:`unreachable_total`).
         """
         if not sources or not targets:
             return None
         guid, mult = validate_connection_inputs(
             guidance_vec, layer_multipliers, self.grid.num_layers)
         p = self.params
-        # A caller-provided add_core pins the grid state, so the whole
-        # cost field is reusable across that net's connections whenever
-        # guidance/multipliers repeat — only the target-dependent
-        # heuristic needs repointing.
-        field = None
-        cache_key = None
-        if add_core is not None:
-            cache_key = (guid,
-                         None if mult is None else tuple(mult.tolist()),
-                         soft)
-            field = add_core.field_cache.get(cache_key)
+        if add_core is None:
+            add_core = build_add_core(
+                self.grid, net=net, soft=soft,
+                present_penalty=p.present_penalty,
+                history_weight=p.history_weight)
+        if not soft and not add_core.reaches(sources, targets):
+            self.unreachable_total += 1
+            return None
+        # The add_core pins the grid state, so the whole cost field is
+        # reusable across a net's connections whenever guidance and
+        # multipliers repeat — only the target-dependent heuristic needs
+        # repointing.
+        cache_key = (guid, None if mult is None else tuple(mult.tolist()),
+                     soft)
+        field = add_core.field_cache.get(cache_key)
         if field is not None:
             field.retarget(targets)
         else:
             field = CostField(
-                self.grid, net=net, guid=guid, layer_multipliers=mult,
-                soft=soft, targets=targets,
-                wire_cost=p.wire_cost, wrong_way_penalty=p.wrong_way_penalty,
-                via_cost=p.via_cost, present_penalty=p.present_penalty,
-                history_weight=p.history_weight, add_core=add_core,
-                man_cache=self._man_cache)
-            if cache_key is not None:
-                add_core.field_cache[cache_key] = field
+                self.grid, guid=guid, layer_multipliers=mult, soft=soft,
+                targets=targets, wire_cost=p.wire_cost,
+                wrong_way_penalty=p.wrong_way_penalty, via_cost=p.via_cost,
+                add_core=add_core, man_cache=self._man_cache)
+            add_core.field_cache[cache_key] = field
         return self._route_scalar(field, sources, max_expansions)
 
     # -- heap engine --------------------------------------------------------

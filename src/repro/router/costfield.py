@@ -19,16 +19,24 @@ All fields use a **padded** layout: the grid is embedded in an
 ``(nx + 2, ny + 2, nl + 2)`` box whose border cells carry ``add = inf``.
 Neighbor indices of in-grid cells are then always valid, so the expansion
 loop needs no bounds checks at all.
+
+:class:`AddField` also labels the 6-connected components of passable
+cells, so a hard-mode connection with no passable path is proven
+unreachable without a search (:meth:`AddField.reaches`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from repro.reliability.errors import RoutingError
 from repro.router.grid import BLOCKED, FREE, GridNode, RoutingGrid
 
 INF = float("inf")
+
+#: Face adjacency: the search's six moves (+-x, +-y, +-z).
+_SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
 
 
 def validate_connection_inputs(
@@ -92,7 +100,6 @@ class CostField:
         self,
         grid: RoutingGrid,
         *,
-        net: str,
         guid: tuple[float, float, float],
         layer_multipliers: "np.ndarray | None",
         soft: bool,
@@ -100,9 +107,7 @@ class CostField:
         wire_cost: float,
         wrong_way_penalty: float,
         via_cost: float,
-        present_penalty: float,
-        history_weight: float,
-        add_core: "AddField | None" = None,
+        add_core: "AddField",
         man_cache: "dict | None" = None,
     ) -> None:
         nx, ny, nl = grid.nx, grid.ny, grid.num_layers
@@ -139,11 +144,6 @@ class CostField:
         # hard mode reads the combined list.  The list mirrors are built
         # lazily and cached on the :class:`AddField` (see the properties
         # below), so only the mode in use pays their ``tolist`` cost.
-        if add_core is None:
-            add_core = build_add_core(
-                grid, net=net, soft=soft,
-                present_penalty=present_penalty,
-                history_weight=history_weight)
         self._add_core = add_core
 
         self._man_cache = man_cache
@@ -237,7 +237,8 @@ class AddField:
     so :class:`~repro.router.iterative.IterativeRouter` can reuse one
     instance across every connection of a net attempt (the grid is static
     within one attempt).  Instances must be discarded whenever
-    occupancy or history change.
+    occupancy or history change, which also keeps the component labels
+    cached by :meth:`reaches` from ever going stale.
 
     Attributes:
         combined: ``history + extra`` with ``inf`` on impassable cells
@@ -258,6 +259,7 @@ class AddField:
         self.field_cache: dict = {}
         self._padded_list: "list | None" = None
         self._split: "tuple[list, list] | None" = None
+        self._labels: "np.ndarray | None" = None
 
     def _pad(self, volume: np.ndarray, fill: float) -> np.ndarray:
         nx, ny, nl = self.combined.shape
@@ -278,6 +280,43 @@ class AddField:
                            self._pad(self.history, 0.0).tolist())
         return self._split
 
+    def reaches(self, sources: "set[GridNode]",
+                targets: "set[GridNode] | frozenset[GridNode]") -> bool:
+        """Whether a search over these costs can reach any target.
+
+        The search pushes every source, passable or not, and afterwards
+        only passable cells.  So the cells it can ever pop are the sources
+        plus the passable cells in the component of a source or of one
+        of a source's six neighbours; a target outside that set is
+        unreachable, whatever the search budget.
+
+        Passable cells are labelled with their 6-connected component
+        (>= 1), impassable and border cells with 0, once per instance:
+        guidance and layer multipliers only scale step costs, so one
+        labelling serves every connection routed on it.
+        """
+        if not targets.isdisjoint(sources):
+            return True
+        if self._labels is None:
+            labels, _ = ndimage.label(self.combined != INF,
+                                      structure=_SIX_CONNECTED)
+            self._labels = np.pad(labels, 1).reshape(-1)
+        labels = self._labels
+        _, ny, nl = self.combined.shape
+        nlp = nl + 2
+        dix = (ny + 2) * nlp
+        moves = np.array([0, dix, -dix, nlp, -nlp, 1, -1], dtype=np.intp)
+        near = labels[self._padded_index(sources)[:, None] + moves]
+        reachable = set(near.ravel().tolist())
+        reachable.discard(0)
+        return any(label in reachable
+                   for label in labels[self._padded_index(targets)].tolist())
+
+    def _padded_index(self, cells) -> np.ndarray:
+        _, ny, nl = self.combined.shape
+        xyz = np.array(list(cells), dtype=np.intp).reshape(-1, 3) + 1
+        return (xyz[:, 0] * (ny + 2) + xyz[:, 1]) * (nl + 2) + xyz[:, 2]
+
 
 def build_add_core(
     grid: RoutingGrid,
@@ -289,7 +328,7 @@ def build_add_core(
 ) -> AddField:
     """The unpadded additive-entry cost volumes for one (net, mode).
 
-    Split out of :class:`CostField` so
+    Built apart from :class:`CostField` so
     :class:`~repro.router.iterative.IterativeRouter` can reuse it across
     the guidance-dependent connections of one net attempt (occupancy and
     history only change between net attempts, never inside one).

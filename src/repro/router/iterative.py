@@ -101,9 +101,10 @@ class IterativeRouter:
         """Route every net with >= 2 terminals; returns the full solution.
 
         With an enabled obs context, every routing attempt emits a
-        ``route.net`` span (outcome ``ok`` / ``mirrored`` / ``failed``)
-        and the run's A* expansion total feeds the
-        ``route_expansions_total`` counter.
+        ``route.net`` span (outcome ``ok`` / ``mirrored`` / ``failed``),
+        the run's A* expansion total feeds the ``route_expansions_total``
+        counter, and the connections proven unreachable without a search
+        feed ``route_unreachable_total``.
 
         Raises :class:`~repro.reliability.errors.RoutingError` under an
         active fault-injection plan for the ``"routing"`` stage.
@@ -116,6 +117,7 @@ class IterativeRouter:
         mirrored_from: dict[str, str] = self._mirror_partners()
         iterations = 0
         expansions_before = self.astar.expansions_total
+        unreachable_before = self.astar.unreachable_total
 
         while queue and iterations < self.config.max_iterations:
             iterations += 1
@@ -156,6 +158,8 @@ class IterativeRouter:
             queue = requeue
         self.obs.counter("route_expansions_total").inc(
             self.astar.expansions_total - expansions_before)
+        self.obs.counter("route_unreachable_total").inc(
+            self.astar.unreachable_total - unreachable_before)
 
         # Mark right-side nets that had to route independently.
         for right, left in mirrored_from.items():

@@ -5,14 +5,21 @@
 the heuristic recomputed on every push.  It defines the routing
 semantics — pop order ``(f, g, node)``, first-writer-wins on g-score
 ties — and :class:`repro.router.astar.AStarRouter` must reproduce its
-paths and expansion counts exactly.  It subclasses ``AStarRouter`` so it
-drops in as ``IterativeRouter.astar`` for whole-circuit comparisons, and
-``benchmarks/bench_perf.py`` times it as the in-run speed baseline.
+paths, and its expansion counts on every search it runs.  It subclasses
+``AStarRouter`` so it drops in as ``IterativeRouter.astar`` for
+whole-circuit comparisons, and ``benchmarks/bench_perf.py`` times it as
+the in-run speed baseline.
+
+The seed engine searches every connection, while ``AStarRouter`` proves
+some hard-mode connections unreachable without a search, so whole-run
+expansion totals differ.  :func:`record_connections` and
+:func:`connection_parity` compare the two call by call instead.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,3 +179,81 @@ class ReferenceRouter(AStarRouter):
             node = int(parent[node])
         path.reverse()
         return path
+
+
+@dataclass(frozen=True)
+class ConnectionCall:
+    """One recorded ``route_connection`` call and its outcome.
+
+    Attributes:
+        sources, targets, soft: the call's inputs (sources copied, since
+            the caller grows its tree set in place).
+        result: the returned path as a tuple, or None.
+        expansions: nodes the call expanded.
+        skipped: True when the call was proven unreachable and not
+            searched (never for :class:`ReferenceRouter`).
+    """
+
+    sources: frozenset
+    targets: frozenset
+    soft: bool
+    result: "tuple | None"
+    expansions: int
+    skipped: bool
+
+
+def record_connections(astar: AStarRouter) -> list[ConnectionCall]:
+    """Log every ``route_connection`` call of ``astar`` from now on.
+
+    Shadows the bound method on the instance; returns the live log.
+    """
+    calls: list[ConnectionCall] = []
+    route = astar.route_connection
+
+    def recorded(net, sources, targets, *args, soft=False, **kwargs):
+        expansions = astar.expansions_total
+        unreachable = astar.unreachable_total
+        path = route(net, sources, targets, *args, soft=soft, **kwargs)
+        calls.append(ConnectionCall(
+            sources=frozenset(sources), targets=frozenset(targets),
+            soft=soft, result=None if path is None else tuple(path),
+            expansions=astar.expansions_total - expansions,
+            skipped=astar.unreachable_total > unreachable))
+        return path
+
+    astar.route_connection = recorded
+    return calls
+
+
+def connection_parity(ours: list[ConnectionCall],
+                      oracle: list[ConnectionCall]) -> list[str]:
+    """Per-connection differences between a router and the oracle.
+
+    Empty when the two made the same calls (sources, targets, mode) in the
+    same order with the same results, every call ``ours`` searched
+    expanded exactly as many nodes as the oracle's, and every call
+    ``ours`` skipped expanded nothing and was one the oracle failed.
+    """
+    problems: list[str] = []
+    if len(ours) != len(oracle):
+        problems.append(f"{len(ours)} connection calls, oracle made "
+                        f"{len(oracle)}")
+    for i, (a, b) in enumerate(zip(ours, oracle)):
+        if (a.sources, a.targets, a.soft) != (b.sources, b.targets, b.soft):
+            # Every later call would be misaligned too.
+            problems.append(f"call {i}: a different connection than the "
+                            f"oracle's")
+            break
+        if a.result != b.result:
+            problems.append(f"call {i}: result differs from the oracle's")
+        if a.skipped:
+            if b.result is not None:
+                problems.append(f"call {i}: skipped as unreachable, but the "
+                                f"oracle routed it")
+            if a.expansions:
+                problems.append(f"call {i}: skipped, yet expanded "
+                                f"{a.expansions} nodes")
+        elif a.expansions != b.expansions:
+            problems.append(f"call {i}: {a.expansions} expansions, oracle "
+                            f"{b.expansions}")
+    return problems

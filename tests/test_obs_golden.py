@@ -142,6 +142,7 @@ class TestGoldenSchemas:
         counters = traced_run["manifest"]["counters"]
         assert set(counters) == {
             "route_expansions_total",
+            "route_unreachable_total",
             "samples_requested",
             "samples_resampled",
             "samples_reused",

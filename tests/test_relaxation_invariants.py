@@ -148,9 +148,9 @@ class TestTraceTimingShape:
         diverged = sum(1 for e in restarts if e["outcome"] == "diverged")
         assert diverged == relaxer.trace.diverged
         # Counter totals match the trace's totals.
-        assert obs.counter_values()["gnn_forwards"] == \
+        assert obs.counter_values()["relax_forwards_total"] == \
             relaxer.trace.gnn_forwards
-        assert obs.counter_values()["lbfgs_evals"] >= \
+        assert obs.counter_values()["relax_evals_total"] >= \
             max(relaxer.trace.restart_evals)
 
     def test_reused_relaxer_resets_trace(self, potentials):
