@@ -3,15 +3,13 @@
 Runs the AnalogFold pipeline on OTA1 at the selected ``REPRO_SCALE`` (or
 ``--scale``) with the pipeline's own :class:`repro.perf.timing.StageTimer`
 instrumentation, then records per-stage wall time (route / extract /
-simulate / train / relax, plus calls), the batched-relaxation forward
-reduction, and a forward-scaling sweep (tape-free float64 per-candidate
-``forward_batch`` time vs batch size, with the batched-vs-per-candidate
-parity number) into ``BENCH_perf.json`` at the repo root.
+simulate / train / relax, plus calls) and a forward-scaling sweep
+(tape-free float64 per-candidate ``forward_batch`` time vs batch size,
+with the batched-vs-per-candidate parity number) into
+``BENCH_perf.json`` at the repo root.
 
-Expected shape: the route stage dominates database construction, train
-dominates total time at representative scales, and batched relaxation
-performs several times fewer GNN forward-backward passes than serial
-restarts for the same restart count.
+Expected shape: the route stage dominates database construction and
+train dominates total time at representative scales.
 
 Standalone usage (no pytest required)::
 
@@ -41,7 +39,6 @@ sys.path.insert(0, str(REPO_ROOT))
 import numpy as np
 
 from repro import AnalogFold, build_benchmark, generic_40nm, place_benchmark
-from repro.core import PotentialFunction, PotentialRelaxer, RelaxationConfig
 from repro.eval.compare import SCALES
 from repro.graph import build_hetero_graph
 from repro.model.gnn3d import Gnn3d
@@ -388,30 +385,6 @@ def measure(scale_name: str, workers: int = 1) -> dict:
     fold = AnalogFold(circuit, placement, tech, config=config)
     result = fold.run()
 
-    # Forward-count comparison: serial vs batched relaxation on the
-    # just-trained model (separate potentials so the pipeline timer above
-    # stays untouched).  The restart structure is the paper-default
-    # 12-restart / pool-6 shape regardless of scale — at smoke scale the
-    # shrunken 3-restart config would understate the batching win (the
-    # reduction factor is ~ restarts per wave).
-    relax_kwargs = dict(
-        n_restarts=12,
-        pool_size=6,
-        n_derive=3,
-        maxiter=15,
-        seed=0,
-        seed_points=0,
-    )
-    pot = PotentialFunction(fold.model, fold.database.graph,
-                            c_max=config.dataset.c_max)
-    serial = PotentialRelaxer(RelaxationConfig(**relax_kwargs))
-    serial.run(pot)
-    pot.reset_stats()
-    batched = PotentialRelaxer(RelaxationConfig(**relax_kwargs, batched=True))
-    batched.run(pot)
-    forwards_serial = serial.trace.gnn_forwards
-    forwards_batched = batched.trace.gnn_forwards
-
     return bench_payload(fold.timer, extra={
         "scale": scale_name,
         "workers": workers,
@@ -419,10 +392,6 @@ def measure(scale_name: str, workers: int = 1) -> dict:
         "figure5_stage_seconds": {
             k: round(v, 4) for k, v in result.stage_seconds.items()
         },
-        "relax_forwards_serial": forwards_serial,
-        "relax_forwards_batched": forwards_batched,
-        "relax_forward_reduction": round(
-            forwards_serial / max(forwards_batched, 1), 2),
         "total_seconds": round(fold.timer.total_seconds(), 4),
     })
 
@@ -477,9 +446,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {out}")
     for name, stats in payload["stages"].items():
         print(f"  {name}: {stats['seconds']:.3f}s over {stats['calls']} calls")
-    print(f"  relaxation forwards: {payload['relax_forwards_serial']} serial "
-          f"-> {payload['relax_forwards_batched']} batched "
-          f"({payload['relax_forward_reduction']}x fewer)")
     route = payload["route"]
     print(f"  route: {route['speedup']['neutral']}x neutral / "
           f"{route['speedup']['guided']}x guided vs in-run reference, "

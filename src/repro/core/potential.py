@@ -24,12 +24,10 @@ class PotentialStats:
     """Evaluation counters (reset with :meth:`PotentialFunction.reset_stats`).
 
     Attributes:
-        evals: scalar :meth:`~PotentialFunction.value_and_grad` calls.
-        batched_evals: :meth:`~PotentialFunction.value_and_grad_batch` calls.
-        candidates: total candidates across all batched evaluations.
-        forwards: GNN forward-backward passes actually executed — the
-            quantity batching reduces (one batched eval of ``B``
-            candidates costs one forward instead of ``B``).
+        evals: potential evaluations — one per :meth:`value_and_grad`
+            call, ``B`` per :meth:`value_and_grad_batch` call of ``B``
+            candidates.
+        forwards: GNN forward-backward passes actually executed.
 
     The relaxer reads deltas of these counters to emit the
     ``relax_forwards_total`` and ``relax_evals_total`` observability
@@ -38,8 +36,6 @@ class PotentialStats:
     """
 
     evals: int = 0
-    batched_evals: int = 0
-    candidates: int = 0
     forwards: int = 0
 
 
@@ -135,6 +131,9 @@ class PotentialFunction:
 
         Infeasible rows get ``+inf`` and a push-back gradient, like the
         scalar path; feasible rows are unaffected by them.
+
+        Relaxation itself runs one scalar L-BFGS per restart and never
+        calls this; ``perfbench/tracing.py`` still names it as a call site.
         """
         c_arr = np.asarray(c_batch, dtype=float)
         if c_arr.ndim != 2 or c_arr.shape[1] != self.num_variables:
@@ -143,8 +142,7 @@ class PotentialFunction:
                 f"(B, {self.num_variables})"
             )
         batch = c_arr.shape[0]
-        self.stats.batched_evals += 1
-        self.stats.candidates += batch
+        self.stats.evals += batch
 
         eps = 1e-9
         infeasible = ((c_arr <= eps) | (c_arr >= self.c_max - eps)

@@ -12,17 +12,11 @@ potential or guidance (or raises a
 evaluation) is dropped and recorded in the trace instead of aborting the
 run.  Only when *no* restart survives does :meth:`PotentialRelaxer.run`
 raise, with the trace attached for diagnosis.
-
-With ``RelaxationConfig.batched`` the restarts run in two *waves*
-(pool-building, then pool-seeded), each as one joint L-BFGS-B over the
-concatenated restart variables: the objective is the sum of the per-restart
-potentials, whose gradient blocks are independent, so every joint function
-evaluation is a single batched GNN forward-backward over all active
-restarts instead of one forward per restart (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 from dataclasses import dataclass, field
@@ -54,12 +48,6 @@ class RelaxationConfig:
             guidance distributions of the database, not only from a uniform
             prior).
         seed: RNG seed.
-        batched: run restarts in two joint waves sharing one batched GNN
-            forward per function evaluation, instead of one L-BFGS run per
-            restart.  Several times fewer forwards for the same number of
-            restarts; solutions are valid minima of the same potential but
-            not bit-identical to serial restarts (the joint optimizer
-            couples line searches).
     """
 
     n_restarts: int = 12
@@ -72,25 +60,33 @@ class RelaxationConfig:
     init_high: float = 2.0
     seed_points: int = 2
     seed: int = 0
-    batched: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_restarts", "pool_size", "n_derive"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_derive > self.pool_size:
             raise ValueError(
                 f"n_derive {self.n_derive} exceeds pool_size {self.pool_size}"
             )
         if not 0.0 <= self.p_relax <= 1.0:
             raise ValueError(f"p_relax must be in [0, 1], got {self.p_relax}")
-        if self.noise_sigma < 0:
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(
-                f"noise_sigma must be >= 0, got {self.noise_sigma}")
+                f"noise_sigma must be finite and >= 0, got "
+                f"{self.noise_sigma}")
         if self.maxiter <= 0:
             raise ValueError(f"maxiter must be positive, got {self.maxiter}")
-        if self.seed_points > self.n_restarts:
+        if not 0 <= self.seed_points <= self.n_restarts:
             raise ValueError(
-                f"seed_points {self.seed_points} exceeds n_restarts "
-                f"{self.n_restarts}"
+                f"seed_points must be in [0, n_restarts={self.n_restarts}], "
+                f"got {self.seed_points}"
             )
+        if not self.init_low < self.init_high:
+            raise ValueError(
+                f"init_low {self.init_low} must be below init_high "
+                f"{self.init_high}")
 
 
 @dataclass
@@ -122,12 +118,9 @@ class RelaxationTrace:
             non-increasing by construction (the pool only improves).
         restart_seconds: duration per attempted restart, in restart
             order, measured on the monotonic ``time.perf_counter``
-            clock (batched mode amortizes each wave's time evenly over
-            its restarts).  Durations are load-sensitive; tests must
-            assert monotonicity/shape, never absolute values.
-        restart_evals: potential evaluations per attempted restart — in
-            batched mode, the number of joint evaluations of the
-            restart's wave (each one touches the restart exactly once).
+            clock.  Durations are load-sensitive; tests must assert
+            monotonicity/shape, never absolute values.
+        restart_evals: potential evaluations per attempted restart.
         gnn_forwards: GNN forward-backward passes the whole run executed.
     """
 
@@ -180,18 +173,62 @@ class PotentialRelaxer:
         rng = np.random.default_rng(cfg.seed)
         seeds = list(seed_guidance or [])[: cfg.seed_points]
         start_forwards = potential.stats.forwards
-        start_evals = potential.stats.evals + potential.stats.batched_evals
+        start_evals = potential.stats.evals
+        n_vars = potential.num_variables
+        margin = 1e-3
+        bounds = [(margin, potential.c_max - margin)] * n_vars
 
-        if cfg.batched:
-            pool = self._run_batched(potential, rng, seeds)
-        else:
-            pool = self._run_serial(potential, rng, seeds)
+        pool: list[RelaxedGuidance] = []
+        for restart in range(cfg.n_restarts):
+            from_pool = len(pool) >= cfg.pool_size and rng.random() < cfg.p_relax
+            if restart < len(seeds):
+                x0 = self._seed_point(seeds[restart], n_vars)
+                from_pool = False
+            elif from_pool:
+                seed_sol = pool[rng.integers(len(pool))]
+                x0 = seed_sol.guidance.reshape(-1) + rng.normal(
+                    0.0, cfg.noise_sigma, size=n_vars
+                )
+                self.trace.pool_seeded += 1
+            else:
+                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
+            x0 = np.clip(x0, margin * 2, potential.c_max - margin * 2)
+
+            evals_before = potential.stats.evals
+            started = time.perf_counter()
+            failure = None
+            try:
+                result = minimize(
+                    potential.value_and_grad,
+                    x0,
+                    jac=True,
+                    method="L-BFGS-B",
+                    bounds=bounds,
+                    options={"maxiter": cfg.maxiter},
+                )
+            except RelaxationError as exc:
+                failure = exc
+            elapsed = time.perf_counter() - started
+            evals = potential.stats.evals - evals_before
+            self.trace.restart_seconds.append(elapsed)
+            self.trace.restart_evals.append(evals)
+            if failure is None:
+                kept = self._keep(pool, restart, result.x, float(result.fun),
+                                  from_pool, potential)
+            else:
+                kept = False
+                self.trace.diverged += 1
+                self.trace.failures.append(f"restart {restart}: {failure}")
+            self.obs.emit_span("relax.restart", elapsed,
+                               outcome="ok" if kept else "diverged",
+                               restart=restart, evals=evals,
+                               from_pool=from_pool)
+
         self.trace.gnn_forwards = potential.stats.forwards - start_forwards
         self.obs.counter("relax_forwards_total").inc(
             self.trace.gnn_forwards)
         self.obs.counter("relax_evals_total").inc(
-            potential.stats.evals + potential.stats.batched_evals
-            - start_evals)
+            potential.stats.evals - start_evals)
 
         if not pool:
             raise RelaxationError(
@@ -218,7 +255,7 @@ class PotentialRelaxer:
     def _keep(self, pool: list[RelaxedGuidance], restart: int,
               x: np.ndarray, raw_value: float, from_pool: bool,
               potential: PotentialFunction) -> bool:
-        """Pool-selection bookkeeping shared by serial and batched runs.
+        """Fold one finished restart into the pool.
 
         Returns whether the restart survived (``False`` = diverged).
         """
@@ -247,177 +284,3 @@ class PotentialRelaxer:
         self.trace.restarts += 1
         self.trace.best_per_restart.append(pool[0].potential)
         return True
-
-    def _run_serial(
-        self,
-        potential: PotentialFunction,
-        rng: np.random.Generator,
-        seeds: list[np.ndarray],
-    ) -> list[RelaxedGuidance]:
-        """One L-BFGS run per restart (the paper's reference loop)."""
-        cfg = self.config
-        n_vars = potential.num_variables
-        margin = 1e-3
-        bounds = [(margin, potential.c_max - margin)] * n_vars
-
-        pool: list[RelaxedGuidance] = []
-        for restart in range(cfg.n_restarts):
-            from_pool = len(pool) >= cfg.pool_size and rng.random() < cfg.p_relax
-            if restart < len(seeds):
-                x0 = self._seed_point(seeds[restart], n_vars)
-                from_pool = False
-            elif from_pool:
-                seed_sol = pool[rng.integers(len(pool))]
-                x0 = seed_sol.guidance.reshape(-1) + rng.normal(
-                    0.0, cfg.noise_sigma, size=n_vars
-                )
-                self.trace.pool_seeded += 1
-            else:
-                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
-            x0 = np.clip(x0, margin * 2, potential.c_max - margin * 2)
-
-            evals_before = potential.stats.evals
-            started = time.perf_counter()
-            try:
-                result = minimize(
-                    potential.value_and_grad,
-                    x0,
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxiter": cfg.maxiter},
-                )
-            except RelaxationError as exc:
-                elapsed = time.perf_counter() - started
-                evals = potential.stats.evals - evals_before
-                self.trace.restart_seconds.append(elapsed)
-                self.trace.restart_evals.append(evals)
-                self.trace.diverged += 1
-                self.trace.failures.append(f"restart {restart}: {exc}")
-                self.obs.emit_span("relax.restart", elapsed,
-                                   outcome="diverged", restart=restart,
-                                   evals=evals, from_pool=from_pool)
-                continue
-            elapsed = time.perf_counter() - started
-            evals = potential.stats.evals - evals_before
-            self.trace.restart_seconds.append(elapsed)
-            self.trace.restart_evals.append(evals)
-            kept = self._keep(pool, restart, result.x, float(result.fun),
-                              from_pool, potential)
-            self.obs.emit_span("relax.restart", elapsed,
-                               outcome="ok" if kept else "diverged",
-                               restart=restart, evals=evals,
-                               from_pool=from_pool)
-        return pool
-
-    def _run_batched(
-        self,
-        potential: PotentialFunction,
-        rng: np.random.Generator,
-        seeds: list[np.ndarray],
-    ) -> list[RelaxedGuidance]:
-        """Restarts in two joint waves, one batched forward per evaluation.
-
-        Wave 1 builds the pool (seed points, then uniform draws); wave 2
-        re-initializes from the pool with probability ``p_relax``, like
-        the serial loop once the pool is full.  Each wave minimizes the
-        *sum* of its restarts' potentials over the concatenated variables:
-        the gradient blocks are independent, so the joint L-BFGS walks
-        every restart downhill while paying one batched GNN
-        forward-backward per function evaluation.
-        """
-        cfg = self.config
-        n_vars = potential.num_variables
-
-        pool: list[RelaxedGuidance] = []
-        wave1 = min(cfg.n_restarts, max(cfg.pool_size, len(seeds), 1))
-        inits: list[tuple[np.ndarray, bool]] = []
-        for restart in range(wave1):
-            if restart < len(seeds):
-                x0 = self._seed_point(seeds[restart], n_vars)
-            else:
-                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
-            inits.append((x0, False))
-        self._wave(potential, pool, inits, restart_offset=0)
-
-        inits = []
-        for _ in range(wave1, cfg.n_restarts):
-            from_pool = (len(pool) >= cfg.pool_size
-                         and rng.random() < cfg.p_relax)
-            if from_pool:
-                seed_sol = pool[rng.integers(len(pool))]
-                x0 = seed_sol.guidance.reshape(-1) + rng.normal(
-                    0.0, cfg.noise_sigma, size=n_vars
-                )
-                self.trace.pool_seeded += 1
-            else:
-                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
-            inits.append((x0, from_pool))
-        if inits:
-            self._wave(potential, pool, inits, restart_offset=wave1)
-        return pool
-
-    def _wave(
-        self,
-        potential: PotentialFunction,
-        pool: list[RelaxedGuidance],
-        inits: list[tuple[np.ndarray, bool]],
-        restart_offset: int,
-    ) -> None:
-        """Jointly minimize one wave of restarts and fold them into the pool."""
-        cfg = self.config
-        n_vars = potential.num_variables
-        wave = len(inits)
-        margin = 1e-3
-        bounds = [(margin, potential.c_max - margin)] * (n_vars * wave)
-        x0 = np.concatenate([
-            np.clip(x, margin * 2, potential.c_max - margin * 2)
-            for x, _ in inits
-        ])
-
-        def objective(x_joint: np.ndarray) -> tuple[float, np.ndarray]:
-            values, grads = potential.value_and_grad_batch(
-                x_joint.reshape(wave, n_vars))
-            return float(values.sum()), grads.reshape(-1)
-
-        evals_before = potential.stats.batched_evals
-        started = time.perf_counter()
-        try:
-            result = minimize(
-                objective,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": cfg.maxiter},
-            )
-            # One more batched eval for the final per-restart values (the
-            # joint ``result.fun`` only exposes their sum).
-            values, _ = potential.value_and_grad_batch(
-                result.x.reshape(wave, n_vars))
-        except RelaxationError as exc:
-            elapsed = time.perf_counter() - started
-            evals = potential.stats.batched_evals - evals_before
-            for i in range(wave):
-                self.trace.restart_seconds.append(elapsed / wave)
-                self.trace.restart_evals.append(evals)
-                self.trace.diverged += 1
-                self.trace.failures.append(
-                    f"restart {restart_offset + i}: {exc}")
-                self.obs.emit_span("relax.restart", elapsed / wave,
-                                   outcome="diverged",
-                                   restart=restart_offset + i, evals=evals,
-                                   from_pool=inits[i][1])
-            return
-        elapsed = time.perf_counter() - started
-        evals = potential.stats.batched_evals - evals_before
-        xs = result.x.reshape(wave, n_vars)
-        for i in range(wave):
-            self.trace.restart_seconds.append(elapsed / wave)
-            self.trace.restart_evals.append(evals)
-            kept = self._keep(pool, restart_offset + i, xs[i],
-                              float(values[i]), inits[i][1], potential)
-            self.obs.emit_span("relax.restart", elapsed / wave,
-                               outcome="ok" if kept else "diverged",
-                               restart=restart_offset + i, evals=evals,
-                               from_pool=inits[i][1])

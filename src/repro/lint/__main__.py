@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 from repro.lint.baseline import write_baseline
-from repro.lint.cache import SummaryCache
 from repro.lint.config import load_config
 from repro.lint.engine import run_lint
 from repro.lint.output import FORMATS, render
@@ -56,16 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalog and exit")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parse/summarize N files in parallel processes (default: 1)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the .lint-cache/ summary cache entirely")
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="with a warm cache: re-analyze only changed modules plus "
-             "their reverse import dependencies")
-    parser.add_argument(
         "--no-whole-program", action="store_true",
         help="skip phase 2 (call-graph rules); per-file rules only")
     parser.add_argument(
@@ -101,9 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         config.baseline = args.baseline
     if args.no_baseline:
         config.baseline = None
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     select = _split_ids(args.select)
     ignore = (config.ignored() | (_split_ids(args.ignore) or set()))
@@ -115,14 +101,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: no rules selected", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else SummaryCache(config.root)
-
     start = time.perf_counter()
     result = run_lint(paths=args.paths or None, config=config, rules=rules,
                       graph_rules=graph_rules,
-                      whole_program=whole_program and bool(graph_rules),
-                      cache=cache, jobs=args.jobs,
-                      changed_only=args.changed_only)
+                      whole_program=whole_program and bool(graph_rules))
     elapsed = time.perf_counter() - start
 
     if args.write_exceptions:

@@ -5,9 +5,7 @@ A :class:`ModuleSummary` is everything phase 2 (the call-graph linker,
 functions and classes, the import/alias table, every call site, and the
 "events" the interprocedural rules care about (module-state mutations,
 non-injected RNG draws, tape operations, dtype coercions, raised
-exception types).  Summaries are plain dataclasses with a lossless
-JSON round-trip so :mod:`repro.lint.cache` can persist them keyed by
-file content hash and re-summarize only modules that changed.
+exception types).  Summaries are plain dataclasses.
 
 One summary is produced by ONE extra walk of the same AST the per-file
 rules already share, so the whole-program pass adds no parse.
@@ -17,11 +15,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any
-
-#: Bump on any change to the summary dataclasses or the extraction
-#: logic — cached summaries from another version are discarded.
-SUMMARY_SCHEMA_VERSION = 2
 
 #: Methods that mutate their receiver in place.  A call
 #: ``X.<method>(...)`` where ``X`` resolves to a *module-level* name is
@@ -75,16 +68,6 @@ class CallSite:
     attr: str | None
     in_no_grad: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"line": self.line, "chain": self.chain, "attr": self.attr,
-                "in_no_grad": self.in_no_grad}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "CallSite":
-        return CallSite(line=data["line"], chain=data["chain"],
-                        attr=data["attr"],
-                        in_no_grad=data.get("in_no_grad", False))
-
 
 @dataclass(frozen=True)
 class Event:
@@ -101,16 +84,6 @@ class Event:
     line: int
     detail: str = ""
     in_no_grad: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "line": self.line, "detail": self.detail,
-                "in_no_grad": self.in_no_grad}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Event":
-        return Event(kind=data["kind"], line=data["line"],
-                     detail=data.get("detail", ""),
-                     in_no_grad=data.get("in_no_grad", False))
 
 
 @dataclass
@@ -145,30 +118,6 @@ class FunctionSummary:
     local_types: dict[str, str] = field(default_factory=dict)
     return_type: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualpath": self.qualpath, "name": self.name, "line": self.line,
-            "cls": self.cls,
-            "calls": [c.to_dict() for c in self.calls],
-            "events": [e.to_dict() for e in self.events],
-            "arg_types": self.arg_types,
-            "local_types": self.local_types,
-            "return_type": self.return_type,
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "FunctionSummary":
-        return FunctionSummary(
-            qualpath=data["qualpath"], name=data["name"], line=data["line"],
-            cls=data.get("cls"),
-            calls=[CallSite.from_dict(c) for c in data.get("calls", [])],
-            events=[Event.from_dict(e) for e in data.get("events", [])],
-            arg_types={k: list(v)
-                       for k, v in data.get("arg_types", {}).items()},
-            local_types=dict(data.get("local_types", {})),
-            return_type=list(data.get("return_type", [])),
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -180,18 +129,6 @@ class ClassSummary:
     methods: list[str] = field(default_factory=list)
     fields: dict[str, list[str]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "line": self.line, "bases": self.bases,
-                "methods": self.methods, "fields": self.fields}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "ClassSummary":
-        return ClassSummary(
-            name=data["name"], line=data["line"],
-            bases=list(data.get("bases", [])),
-            methods=list(data.get("methods", [])),
-            fields={k: list(v) for k, v in data.get("fields", {}).items()})
-
 
 @dataclass
 class ModuleSummary:
@@ -199,37 +136,12 @@ class ModuleSummary:
 
     module: str
     rel_path: str
-    digest: str = ""
     imports: dict[str, str] = field(default_factory=dict)
     star_imports: list[str] = field(default_factory=list)
     module_names: list[str] = field(default_factory=list)
     exports: list[str] = field(default_factory=list)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "module": self.module, "rel_path": self.rel_path,
-            "digest": self.digest, "imports": self.imports,
-            "star_imports": self.star_imports,
-            "module_names": self.module_names, "exports": self.exports,
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "ModuleSummary":
-        return ModuleSummary(
-            module=data["module"], rel_path=data["rel_path"],
-            digest=data.get("digest", ""),
-            imports=dict(data.get("imports", {})),
-            star_imports=list(data.get("star_imports", [])),
-            module_names=list(data.get("module_names", [])),
-            exports=list(data.get("exports", [])),
-            functions={k: FunctionSummary.from_dict(f)
-                       for k, f in data.get("functions", {}).items()},
-            classes={k: ClassSummary.from_dict(c)
-                     for k, c in data.get("classes", {}).items()})
 
 
 # -- extraction -----------------------------------------------------------------------
@@ -635,10 +547,10 @@ def _collect_exports(tree: ast.Module, summary: ModuleSummary) -> None:
                         summary.exports.append(elt.value)
 
 
-def summarize_module(tree: ast.Module, module: str, rel_path: str,
-                     digest: str = "") -> ModuleSummary:
+def summarize_module(tree: ast.Module, module: str,
+                     rel_path: str) -> ModuleSummary:
     """Produce the :class:`ModuleSummary` of one parsed module."""
-    summary = ModuleSummary(module=module, rel_path=rel_path, digest=digest)
+    summary = ModuleSummary(module=module, rel_path=rel_path)
     _collect_module_names(tree, summary)
     _collect_exports(tree, summary)
     visitor = _ModuleVisitor(summary)

@@ -236,9 +236,9 @@ class RunContext:
                   **attrs: Any) -> None:
         """Emit a pre-timed span record (no clock read of its own).
 
-        For callers that already measured the duration — e.g. batched
-        relaxation amortizes one wave's wall time over its restarts —
-        so the trace reuses the caller's numbers instead of re-timing.
+        For callers that already measured the duration — e.g. the
+        relaxer records each restart's time in its own trace — so the
+        span reuses the caller's numbers instead of re-timing.
         """
         if not self.enabled:
             return

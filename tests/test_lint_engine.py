@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -260,6 +261,18 @@ class TestCli:
         assert main(["--root", str(root), "--format", "github"]) == 1
         assert "::error file=mod.py,line=2" in capsys.readouterr().out
 
+    def test_max_seconds_gate_fails_on_overrun(self, tmp_path, capsys):
+        root = self._write_tree(tmp_path, "x = 1\n")
+        assert main(["--root", str(root), "--max-seconds", "0.0"]) == 1
+        assert "wall time" in capsys.readouterr().err
+
+    def test_write_exceptions_creates_the_doc(self, tmp_path, capsys):
+        root = self._write_tree(tmp_path, "x = 1\n")
+        assert main(["--root", str(root), "--write-exceptions"]) == 0
+        doc = root / "docs" / "EXCEPTIONS.md"
+        assert doc.exists()
+        assert "Exception contracts" in doc.read_text()
+
 class TestDecoratorSuppression:
     """Regression: findings anchored at a decorator line and directives
     anchored at the ``def`` line (or vice versa) must pair up — the
@@ -315,165 +328,39 @@ class TestDecoratorSuppression:
         assert [f.rule_id for f in findings] == ["NUM003"]
 
 
-class TestSummaryCache:
-    def _entry_args(self):
-        import ast
+class TestStaleExceptionsDoc:
+    """Whole-program findings are recomputed on every run.
 
-        from repro.lint.cache import source_digest
-        from repro.lint.summaries import summarize_module
+    A stale ``docs/EXCEPTIONS.md`` must fail the second run exactly like
+    the first: nothing a previous run left behind may turn EXC101 off.
+    """
 
-        source = "def f():\n    return 1\n"
-        summary = summarize_module(ast.parse(source), "m", "m.py")
-        return source, summary
-
-    def test_round_trip(self, tmp_path):
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        digest = source_digest(source)
-        cache = SummaryCache(tmp_path)
-        assert cache.get("m.py", digest, "A1") is None
-        cache.put("m.py", digest, summary, [], 2, "A1")
-        entry = cache.get("m.py", digest, "A1")
-        assert entry is not None
-        assert entry.summary.module == "m" and entry.suppressed == 2
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_digest_mismatch_misses(self, tmp_path):
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        cache = SummaryCache(tmp_path)
-        cache.put("m.py", source_digest(source), summary, [], 0, "A1")
-        assert cache.get("m.py", source_digest(source + "#"), "A1") is None
-
-    def test_different_rule_selection_misses(self, tmp_path):
-        # Findings cached under --ignore X must not serve a --select X
-        # run: the rule set is part of the cache key.
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        digest = source_digest(source)
-        cache = SummaryCache(tmp_path)
-        cache.put("m.py", digest, summary, [], 0, "CLK001,NUM001")
-        assert cache.get("m.py", digest, "NUM001") is None
-        assert cache.get("m.py", digest, "CLK001,NUM001") is not None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        digest = source_digest(source)
-        cache = SummaryCache(tmp_path)
-        cache.put("m.py", digest, summary, [], 0, "")
-        for entry_file in cache.path.glob("*.json"):
-            entry_file.write_text("{not json")
-        assert cache.get("m.py", digest, "") is None
-
-
-class TestIncremental:
-    """--changed-only semantics: dirty modules plus reverse importers."""
-
-    def _tree(self, tmp_path):
+    def _write_tree(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\npaths = ["a.py", "b.py", "c.py"]\n')
-        (tmp_path / "a.py").write_text("def fa():\n    return 1\n")
-        (tmp_path / "b.py").write_text(
-            "import a\ndef fb():\n    return a.fa()\n")
-        (tmp_path / "c.py").write_text(
-            "import b\ndef fc():\n    return b.fb()\n")
-        return load_config(tmp_path)
-
-    def test_warm_cache_skips_reanalysis(self, tmp_path):
-        from repro.lint.cache import SummaryCache
-
-        config = self._tree(tmp_path)
-        cache = SummaryCache(tmp_path)
-        cold = run_lint(config=config, cache=cache, changed_only=True)
-        assert cold.cache_misses == 3 and cold.cache_hits == 0
-        warm = run_lint(config=config, cache=SummaryCache(tmp_path),
-                        changed_only=True)
-        assert warm.cache_hits == 3 and warm.cache_misses == 0
-        assert warm.reanalyzed == []
-
-    def test_touching_a_module_reanalyzes_reverse_dependents(self, tmp_path):
-        from repro.lint.cache import SummaryCache
-
-        config = self._tree(tmp_path)
-        run_lint(config=config, cache=SummaryCache(tmp_path),
-                 changed_only=True)
-        (tmp_path / "b.py").write_text(
-            "import a\ndef fb():\n    return a.fa() + 1\n")
-        result = run_lint(config=config, cache=SummaryCache(tmp_path),
-                         changed_only=True)
-        assert result.cache_misses == 1  # only b.py re-parsed
-        assert set(result.reanalyzed) == {"b", "c"}  # b + importer c
-
-    def test_touching_the_root_fans_out_to_everything(self, tmp_path):
-        from repro.lint.cache import SummaryCache
-
-        config = self._tree(tmp_path)
-        run_lint(config=config, cache=SummaryCache(tmp_path),
-                 changed_only=True)
-        (tmp_path / "a.py").write_text("def fa():\n    return 2\n")
-        result = run_lint(config=config, cache=SummaryCache(tmp_path),
-                         changed_only=True)
-        assert set(result.reanalyzed) == {"a", "b", "c"}
-
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        config = self._tree(tmp_path)
-        (tmp_path / "d.py").write_text(BAD_CLOCK)
-        config = LintConfig(root=tmp_path,
-                            paths=("a.py", "b.py", "c.py", "d.py"),
-                            baseline=None)
-        serial = run_lint(config=config, jobs=1)
-        parallel = run_lint(config=config, jobs=2)
-        key = lambda f: (f.path, f.line, f.col, f.rule_id, f.message)
-        assert sorted(map(key, serial.findings)) == sorted(
-            map(key, parallel.findings))
-        assert serial.files_checked == parallel.files_checked == 4
-
-
-class TestCliIncrementalFlags:
-    def _write_tree(self, tmp_path, source=BAD_CLOCK):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\npaths = ["mod.py"]\n'
-            'baseline = "base.json"\n')
-        (tmp_path / "mod.py").write_text(source)
+            '[tool.repro-lint]\npaths = ["src"]\n')
+        package = tmp_path / "src" / "repro"
+        (package / "reliability").mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            (FIXTURES / "exc101_bad.py").read_text())
+        (package / "reliability" / "errors.py").write_text(
+            "class ReproError(Exception):\n    pass\n\n\n"
+            "class RoutingError(ReproError):\n    pass\n")
+        (package / "clock.py").write_text(
+            "import time\n"
+            "start = time.time()  # repro-lint: disable=CLK001 -- fixture\n")
+        (tmp_path / "docs").mkdir()
+        # repro.route raises RoutingError; the table documents nothing.
+        (tmp_path / "docs" / "EXCEPTIONS.md").write_text(
+            "| Public API | Raises |\n| --- | --- |\n")
         return tmp_path
 
-    def test_cache_warm_run_reports_hits(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path, "x = 1\n")
-        assert main(["--root", str(root)]) == 0
-        assert main(["--root", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "cache 1 hit" in out
-        assert (root / ".lint-cache").is_dir()
-
-    def test_no_cache_leaves_no_directory(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path, "x = 1\n")
-        assert main(["--root", str(root), "--no-cache"]) == 0
-        assert not (root / ".lint-cache").exists()
-
-    def test_changed_only_warm_run_stays_correct(self, tmp_path, capsys):
+    def test_every_run_reports_exc101(self, tmp_path, capsys):
         root = self._write_tree(tmp_path)
-        assert main(["--root", str(root), "--changed-only"]) == 1
-        assert main(["--root", str(root), "--changed-only"]) == 1
-
-    def test_jobs_flag_matches_serial_exit(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path)
-        assert main(["--root", str(root), "--no-cache",
-                     "--jobs", "2"]) == 1
-        assert "CLK001" in capsys.readouterr().out
-
-    def test_max_seconds_gate_fails_on_overrun(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path, "x = 1\n")
-        assert main(["--root", str(root), "--max-seconds", "0.0"]) == 1
-        assert "wall time" in capsys.readouterr().err
-
-    def test_write_exceptions_creates_the_doc(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path, "x = 1\n")
-        assert main(["--root", str(root), "--write-exceptions"]) == 0
-        doc = root / "docs" / "EXCEPTIONS.md"
-        assert doc.exists()
-        assert "Exception contracts" in doc.read_text()
+        suppressed = []
+        for _ in range(2):
+            assert main(["--root", str(root)]) == 1
+            out = capsys.readouterr().out
+            assert "EXC101" in out
+            suppressed.append(
+                re.search(r"\((\d+) suppressed", out).group(1))
+        assert suppressed[0] == suppressed[1] == "1"

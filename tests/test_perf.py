@@ -6,7 +6,8 @@ The contracts under test:
   report, and checkpoint bytes — including under injected faults and on
   checkpoint resume;
 * the batched GNN forward matches per-candidate forwards to 1e-10, and
-  batched relaxation pays several times fewer forward-backward passes;
+  a batched potential evaluation of ``B`` candidates counts ``B`` evals
+  but one forward-backward pass;
 * stage timers and the BENCH_perf regression gate behave as documented.
 """
 
@@ -148,6 +149,7 @@ class TestBatchedForward:
         rng = np.random.default_rng(2)
         X = rng.uniform(0.5, 2.0, size=(3, pot.num_variables))
         values, grads = pot.value_and_grad_batch(X)
+        assert (pot.stats.evals, pot.stats.forwards) == (3, 1)
         for i in range(3):
             v, g = pot.value_and_grad(X[i])
             assert abs(v - values[i]) < 1e-10
@@ -233,39 +235,22 @@ class TestBatchedForward:
         assert len(builds) == 4
 
 
-class TestBatchedRelaxation:
+class TestRelaxationTrace:
     RELAX = dict(n_restarts=8, pool_size=4, n_derive=2, maxiter=12,
                  seed_points=0, seed=0)
-
-    def test_at_least_3x_fewer_forwards(self, perf_model):
-        graph, model = perf_model
-        pot = PotentialFunction(model, graph)
-        serial = PotentialRelaxer(RelaxationConfig(**self.RELAX))
-        serial_sols = serial.run(pot)
-        pot.reset_stats()
-        batched = PotentialRelaxer(
-            RelaxationConfig(**self.RELAX, batched=True))
-        batched_sols = batched.run(pot)
-        assert serial.trace.gnn_forwards >= 3 * batched.trace.gnn_forwards
-        assert len(batched_sols) == len(serial_sols)
-        # Batched solutions are genuine minima of the same landscape:
-        # no worse than the serial best by a wide margin.
-        assert batched_sols[0].potential <= serial_sols[0].potential + 1.0
 
     def test_trace_records_per_restart_observability(self, perf_model):
         graph, model = perf_model
         pot = PotentialFunction(model, graph)
-        for batched in (False, True):
-            relaxer = PotentialRelaxer(
-                RelaxationConfig(**self.RELAX, batched=batched))
-            relaxer.run(pot)
-            trace = relaxer.trace
-            n = self.RELAX["n_restarts"]
-            assert len(trace.restart_seconds) == n
-            assert len(trace.restart_evals) == n
-            assert all(s >= 0.0 for s in trace.restart_seconds)
-            assert all(e >= 1 for e in trace.restart_evals)
-            assert trace.gnn_forwards > 0
+        relaxer = PotentialRelaxer(RelaxationConfig(**self.RELAX))
+        relaxer.run(pot)
+        trace = relaxer.trace
+        n = self.RELAX["n_restarts"]
+        assert len(trace.restart_seconds) == n
+        assert len(trace.restart_evals) == n
+        assert all(s >= 0.0 for s in trace.restart_seconds)
+        assert all(e >= 1 for e in trace.restart_evals)
+        assert trace.gnn_forwards > 0
 
 
 class TestTiming:

@@ -1,16 +1,17 @@
 """Invariants of pool-assisted potential relaxation.
 
-Three contracts from the relaxation design (Section 4.3):
+Four contracts from the relaxation design (Section 4.3):
 
 * the pool's best potential is non-increasing across pool updates —
-  ``RelaxationTrace.best_per_restart`` is monotone by construction, in
-  both serial and batched mode;
-* the batched ``value_and_grad_batch`` agrees with serial
+  ``RelaxationTrace.best_per_restart`` is monotone by construction;
+* the batched ``value_and_grad_batch`` agrees with scalar
   ``value_and_grad`` per candidate to < 1e-10, across circuit sizes;
 * trace timing fields are measured on the monotonic ``perf_counter``
   clock — tests assert shape and monotonicity (non-negative durations,
   one entry per attempted restart), never absolute durations, which are
-  load-sensitive.
+  load-sensitive;
+* a ``RelaxationConfig`` that cannot run is rejected when it is built,
+  not by a misleading "all restarts diverged" error later.
 """
 
 from __future__ import annotations
@@ -56,11 +57,9 @@ def potentials():
 
 
 class TestPoolMonotonicity:
-    @pytest.mark.parametrize("batched", [False, True],
-                             ids=["serial", "batched"])
-    def test_best_potential_non_increasing(self, potentials, batched):
+    def test_best_potential_non_increasing(self, potentials):
         pot = potentials("OTA1")
-        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX, batched=batched))
+        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX))
         solutions = relaxer.run(pot)
         best = relaxer.trace.best_per_restart
         assert len(best) == relaxer.trace.restarts > 0
@@ -109,11 +108,9 @@ class TestTraceTimingShape:
     and must never be asserted.
     """
 
-    @pytest.mark.parametrize("batched", [False, True],
-                             ids=["serial", "batched"])
-    def test_restart_seconds_shape(self, potentials, batched):
+    def test_restart_seconds_shape(self, potentials):
         pot = potentials("OTA1")
-        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX, batched=batched))
+        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX))
         relaxer.run(pot)
         trace = relaxer.trace
         n = RELAX["n_restarts"]
@@ -127,14 +124,12 @@ class TestTraceTimingShape:
         assert all(a <= b + 1e-12 for a, b in zip(cumulative,
                                                   cumulative[1:]))
 
-    @pytest.mark.parametrize("batched", [False, True],
-                             ids=["serial", "batched"])
-    def test_spans_mirror_trace_measurements(self, potentials, batched):
+    def test_spans_mirror_trace_measurements(self, potentials):
         """relax.restart spans reuse the trace's own measurements."""
         pot = potentials("OTA1")
         obs = RunContext.recording()
         relaxer = PotentialRelaxer(
-            RelaxationConfig(**RELAX, batched=batched), obs=obs)
+            RelaxationConfig(**RELAX), obs=obs)
         relaxer.run(pot)
         events = obs.drain_events()
         restarts = [e for e in events if e["name"] == "relax.restart"]
@@ -160,3 +155,21 @@ class TestTraceTimingShape:
         first = list(relaxer.trace.restart_seconds)
         relaxer.run(pot)
         assert len(relaxer.trace.restart_seconds) == len(first)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(n_restarts=0, seed_points=0), "n_restarts"),
+        (dict(pool_size=0, n_derive=0), "pool_size"),
+        (dict(n_derive=0), "n_derive"),
+        (dict(seed_points=-1), "seed_points"),
+        (dict(init_low=2.0, init_high=2.0), "init_low"),
+        (dict(init_low=3.0, init_high=1.0), "init_low"),
+        (dict(noise_sigma=float("nan")), "noise_sigma"),
+        (dict(noise_sigma=float("inf")), "noise_sigma"),
+    ], ids=["no-restarts", "empty-pool", "no-derive", "negative-seeds",
+            "empty-init-range", "inverted-init-range", "nan-noise",
+            "inf-noise"])
+    def test_unrunnable_config_rejected(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            RelaxationConfig(**overrides)
